@@ -1,76 +1,63 @@
-"""Hot numeric kernels over CSR-style sparse binary data.
+"""Hot numeric kernels over CSR-style sparse binary data, in plain numpy.
 
-Each kernel has a pure-numpy implementation (the ``*_numpy`` names) and,
-when numba is importable, an @njit twin. The public names (``scores``,
-``hinge_grad``, ``slot_sums``) are bound to the numba versions unless the
-environment variable ``DRIFTGUARD_NO_NUMBA`` is set to 1/true/yes/on, in
-which case the numpy path is used. ``BACKEND`` reports which one is live.
-
-Both paths accumulate per-bin contributions in input order, so weight sums
-agree bit for bit; only reductions over already-formed per-sample values
-(the scalar hinge total) may differ by float round-off between backends.
-Within one backend every kernel is fully deterministic: no threading, no
-reduction reordering.
+Each kernel gathers per-nonzero contributions and accumulates them with
+``np.bincount``, which adds into each bin in input order. So every weight
+sum equals a per-sample loop that adds in CSR order, bit for bit; only the
+scalar hinge total is a pairwise ``np.sum`` over per-sample values. There
+is no threading and no reduction reordering, so every kernel is fully
+deterministic. ``BACKEND`` names the implementation for provenance.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("DRIFTGUARD_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via DRIFTGUARD_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    njit = None
-    NUMBA_AVAILABLE = False
+BACKEND = "numpy"
 
 
-# --- pure numpy implementations ------------------------------------------
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """Sample index of every non-zero, in CSR order."""
+    return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
 
-def scores_numpy(indptr: np.ndarray, indices: np.ndarray,
-                 weights: np.ndarray, bias: float) -> np.ndarray:
-    """Per-sample linear scores: sum of weights at active indices, plus bias."""
+
+def _scores(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+            bias: float, row_ids: np.ndarray) -> np.ndarray:
+    # Takes the row ids so that hinge_grad builds them once per call.
     n = indptr.shape[0] - 1
     if indices.shape[0] == 0:
         return np.full(n, bias, dtype=np.float64)
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    s = np.bincount(row_ids, weights=weights[indices], minlength=n)
-    return s + bias
+    return np.bincount(row_ids, weights=weights[indices], minlength=n) + bias
 
 
-def hinge_grad_numpy(indptr: np.ndarray, indices: np.ndarray, y_signed: np.ndarray,
-                     weights: np.ndarray, bias: float):
+def scores(indptr: np.ndarray, indices: np.ndarray,
+           weights: np.ndarray, bias: float) -> np.ndarray:
+    """Per-sample linear scores: sum of weights at active indices, plus bias."""
+    return _scores(indptr, indices, weights, bias, _row_ids(indptr))
+
+
+def hinge_grad(indptr: np.ndarray, indices: np.ndarray, y_signed: np.ndarray,
+               weights: np.ndarray, bias: float):
     """Subgradient of the summed hinge loss plus the loss itself.
 
     Returns (grad_w, grad_b, hinge_total). Samples at margin exactly 1
     contribute nothing (the conventional zero subgradient).
     """
-    n = indptr.shape[0] - 1
     d = weights.shape[0]
-    s = scores_numpy(indptr, indices, weights, bias)
-    margins = y_signed * s
+    row_ids = _row_ids(indptr)
+    margins = y_signed * _scores(indptr, indices, weights, bias, row_ids)
     viol = margins < 1.0
     hinge_total = float(np.sum(1.0 - margins[viol]))
     coef = np.where(viol, -y_signed, 0.0)
     if indices.shape[0] == 0:
         grad_w = np.zeros(d, dtype=np.float64)
     else:
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         grad_w = np.bincount(indices, weights=coef[row_ids], minlength=d)
     grad_b = float(coef.sum())
     return grad_w, grad_b, hinge_total
 
 
-def slot_sums_numpy(indptr: np.ndarray, indices: np.ndarray, slot_ids: np.ndarray,
-                    mask: np.ndarray, d: int, n_slots: int):
+def slot_sums(indptr: np.ndarray, indices: np.ndarray, slot_ids: np.ndarray,
+              mask: np.ndarray, d: int, n_slots: int):
     """Per-slot feature activation sums and sample counts, restricted to mask.
 
     Returns (sums, counts) where sums is a (d, n_slots) float matrix of
@@ -84,72 +71,3 @@ def slot_sums_numpy(indptr: np.ndarray, indices: np.ndarray, slot_ids: np.ndarra
     flat = indices[per_nnz_keep].astype(np.int64) * n_slots + per_nnz_slot
     sums = np.bincount(flat, minlength=d * n_slots).astype(np.float64)
     return sums.reshape(d, n_slots), counts
-
-
-# --- numba twins -----------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _scores_nb(indptr, indices, weights, bias):
-        n = indptr.shape[0] - 1
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += weights[indices[p]]
-            out[i] = acc + bias
-        return out
-
-    @njit(cache=True)
-    def _hinge_grad_nb(indptr, indices, y_signed, weights, bias):
-        n = indptr.shape[0] - 1
-        d = weights.shape[0]
-        grad_w = np.zeros(d, dtype=np.float64)
-        grad_b = 0.0
-        hinge_total = 0.0
-        for i in range(n):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += weights[indices[p]]
-            margin = y_signed[i] * (acc + bias)
-            if margin < 1.0:
-                hinge_total += 1.0 - margin
-                grad_b -= y_signed[i]
-                for p in range(indptr[i], indptr[i + 1]):
-                    grad_w[indices[p]] -= y_signed[i]
-        return grad_w, grad_b, hinge_total
-
-    @njit(cache=True)
-    def _slot_sums_nb(indptr, indices, slot_ids, mask, d, n_slots):
-        sums = np.zeros((d, n_slots), dtype=np.float64)
-        counts = np.zeros(n_slots, dtype=np.int64)
-        n = indptr.shape[0] - 1
-        for i in range(n):
-            if mask[i]:
-                k = slot_ids[i]
-                counts[k] += 1
-                for p in range(indptr[i], indptr[i + 1]):
-                    sums[indices[p], k] += 1.0
-        return sums, counts
-
-    def scores(indptr, indices, weights, bias):
-        return _scores_nb(indptr, indices, weights, float(bias))
-
-    def hinge_grad(indptr, indices, y_signed, weights, bias):
-        gw, gb, h = _hinge_grad_nb(indptr, indices, y_signed, weights, float(bias))
-        return gw, float(gb), float(h)
-
-    def slot_sums(indptr, indices, slot_ids, mask, d, n_slots):
-        return _slot_sums_nb(indptr, indices, slot_ids, mask, d, n_slots)
-
-    BACKEND = "numba"
-else:
-    scores = scores_numpy
-    hinge_grad = hinge_grad_numpy
-    slot_sums = slot_sums_numpy
-    BACKEND = "numpy"
-
-scores.__doc__ = scores_numpy.__doc__
-hinge_grad.__doc__ = hinge_grad_numpy.__doc__
-slot_sums.__doc__ = slot_sums_numpy.__doc__

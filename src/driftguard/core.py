@@ -74,9 +74,6 @@ class FeatureDictionary:
         except KeyError:
             raise DataError(f"unknown feature name {name!r}") from None
 
-    def name_of(self, index: int) -> str:
-        return self._names[index]
-
     def __len__(self) -> int:
         return len(self._names)
 

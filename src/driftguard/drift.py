@@ -210,10 +210,6 @@ class DriftReport:
     slot_counts: np.ndarray
     slot_bounds: tuple[tuple[int, int], ...]
 
-    def bottom(self, n: int) -> list[int]:
-        """Indices of the n most-negative-delta features."""
-        return [r.index for r in self.records[:n]]
-
 
 def stability_values(weights: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """Elementwise stability: delta_j = w_j * m_j."""

@@ -66,8 +66,12 @@ def _confusion_for_slot(labels: np.ndarray, preds: np.ndarray) -> tuple[int, int
     return tp, fp, fn, tn
 
 
-def slot_confusion(model: LinearModel, test: Dataset, config: DriftConfig) -> list[SlotMetrics]:
-    """Per-slot confusion counts, precision and recall on the test set."""
+def _slot_metrics(model: LinearModel, test: Dataset, config: DriftConfig,
+                  fpr_cap: float | None) -> list[SlotMetrics]:
+    """Per-slot confusion counts, plus partial AUC when fpr_cap is given.
+
+    The slot layout and the scores are computed once for all slots.
+    """
     check_bound(model, test)
     if test.n == 0:
         raise DataError("cannot evaluate an empty dataset")
@@ -83,9 +87,19 @@ def slot_confusion(model: LinearModel, test: Dataset, config: DriftConfig) -> li
         n_neg = fp + tn
         precision = tp / (tp + fp) if (tp + fp) > 0 else None
         recall = tp / n_pos if n_pos > 0 else None
+        pauc = None
+        if fpr_cap is not None and n_pos and n_neg:
+            slot_scores = scores[sel]
+            pauc = _partial_auc_from_scores(slot_scores[labels == 1],
+                                            slot_scores[labels == 0], fpr_cap)
         out.append(SlotMetrics(k, start, end, n_pos, n_neg, tp, fp, fn, tn,
-                               precision, recall))
+                               precision, recall, pauc))
     return out
+
+
+def slot_confusion(model: LinearModel, test: Dataset, config: DriftConfig) -> list[SlotMetrics]:
+    """Per-slot confusion counts, precision and recall on the test set."""
+    return _slot_metrics(model, test, config, None)
 
 
 def _roc_vertices(pos_scores: np.ndarray, neg_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,16 +165,7 @@ def partial_auc(model: LinearModel, samples: Dataset, fpr_cap: float) -> float:
 def evaluate_slots(model: LinearModel, test: Dataset, config: DriftConfig,
                    fpr_cap: float) -> list[SlotMetrics]:
     """slot_confusion plus per-slot partial AUC (None for single-class slots)."""
-    metrics = slot_confusion(model, test, config)
-    layout = slot_layout(test, config)
-    scores = score_dataset(model, test)
-    for m in metrics:
-        sel = layout.slot_ids == m.slot
-        pos = scores[sel & (test.labels == 1)]
-        neg = scores[sel & (test.labels == 0)]
-        if len(pos) and len(neg):
-            m.pauc = _partial_auc_from_scores(pos, neg, fpr_cap)
-    return metrics
+    return _slot_metrics(model, test, config, fpr_cap)
 
 
 def decay_slope(series: Iterable[tuple[int, float | None]]) -> float:

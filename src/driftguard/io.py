@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from typing import Mapping, Sequence
@@ -195,8 +196,9 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
     if head[1] != FORMAT_VERSION:
         raise FileFormatError(path, 1, f"unsupported format version {head[1]!r}")
     keys: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     meta: dict = {"config": {}}
-    weights: list[tuple[int, float]] = []
+    weights: list[tuple[int, int, float]] = []  # (lineno, index, value)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
@@ -205,7 +207,7 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
             if len(parts) != 3:
                 raise FileFormatError(path, lineno, "malformed weight line")
             try:
-                weights.append((int(parts[1]), float(parts[2])))
+                weights.append((lineno, int(parts[1]), float(parts[2])))
             except ValueError:
                 raise FileFormatError(path, lineno, f"malformed weight line {line!r}") from None
             continue
@@ -216,21 +218,33 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
             meta["config"][key[len("config."):]] = value
         else:
             keys[key] = value
+            key_lines[key] = lineno
     for required in ("d", "bias", "fingerprint", "encoding"):
         if required not in keys:
             raise FileFormatError(path, len(lines), f"missing {required}= line")
     try:
         d = int(keys["d"])
+    except ValueError:
+        raise FileFormatError(path, key_lines["d"], f"malformed d= value {keys['d']!r}") from None
+    try:
         bias = float(keys["bias"])
     except ValueError:
-        raise FileFormatError(path, 1, "malformed d= or bias= value") from None
+        bias = math.nan
+    if not math.isfinite(bias):
+        raise FileFormatError(path, key_lines["bias"],
+                              f"bias must be a finite float, got {keys['bias']!r}")
     if keys["encoding"] not in ("dense", "sparse"):
-        raise FileFormatError(path, 1, f"unknown encoding {keys['encoding']!r}")
+        raise FileFormatError(path, key_lines["encoding"],
+                              f"unknown encoding {keys['encoding']!r}")
     w = np.zeros(d, dtype=np.float64)
     seen = np.zeros(d, dtype=bool)
-    for j, value in weights:
+    for lineno, j, value in weights:
         if not 0 <= j < d:
-            raise FileFormatError(path, 1, f"weight index {j} out of range for d={d}")
+            raise FileFormatError(path, lineno, f"weight index {j} out of range for d={d}")
+        if seen[j]:
+            raise FileFormatError(path, lineno, f"duplicate weight index {j}")
+        if not math.isfinite(value):
+            raise FileFormatError(path, lineno, f"weight {j} is not finite: {value!r}")
         w[j] = value
         seen[j] = True
     if keys["encoding"] == "dense" and not seen.all():

@@ -22,12 +22,12 @@ slot, so regression-based drift analysis has a closed-form target.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import DataError, Dataset, FeatureDictionary, SparseSample
+from .io import _atomic_text
 
 # 2014-01-01T00:00:00Z; gives generated data realistic epoch timestamps.
 BASE_EPOCH = 1_388_534_400
@@ -207,11 +207,9 @@ def save_ground_truth(path: str, truth: GroundTruth, spec: SynthSpec,
     obj["spec"] = asdict(spec)
     if provenance:
         obj["provenance"] = dict(provenance)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_ground_truth(path: str) -> GroundTruth:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import driftguard
 from driftguard import io as dgio
 from driftguard.cli import run
 from driftguard.synth import BASE_EPOCH
@@ -172,8 +173,12 @@ def test_provenance_timestamp_present_by_default(tmp_path):
 
 
 def test_module_entry_point_help():
+    # The child process imports the same package as the tests, installed or not.
+    src = os.path.dirname(os.path.dirname(driftguard.__file__))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "driftguard", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pythonpath))
     assert out.returncode == 0
     assert "compare" in out.stdout
 

@@ -171,6 +171,21 @@ def test_model_version_and_weight_errors(tmp_path):
         fh.write("w 0 1.0\n")  # dense but missing w 1
     with pytest.raises(dgio.FileFormatError, match="dense"):
         dgio.load_model(path)
+    # each bad line is reported with the file and its own line number
+    header = "#driftguard-model v1\nd=2\nbias={}\nfingerprint=x\nencoding=sparse\n"
+    cases = [
+        ("0.0", "w 0 1.0\nw 2 1.0\n", r"bad\.model:7: weight index 2 out of range"),
+        ("0.0", "w 0 nan\n", r"bad\.model:6: weight 0 is not finite"),
+        ("0.0", "w 1 1.0\nw 0 -inf\n", r"bad\.model:7: weight 0 is not finite"),
+        ("0.0", "w 0 1.0\nw 1 2.0\nw 0 3.0\n", r"bad\.model:8: duplicate weight index 0"),
+        ("inf", "w 0 1.0\n", r"bad\.model:3: bias must be a finite float"),
+        ("nan", "", r"bad\.model:3: bias must be a finite float"),
+    ]
+    for bias, weight_lines, message in cases:
+        with open(path, "w") as fh:
+            fh.write(header.format(bias) + weight_lines)
+        with pytest.raises(dgio.FileFormatError, match=message):
+            dgio.load_model(path)
 
 
 # --- reports --------------------------------------------------------------------------

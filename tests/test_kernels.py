@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -36,17 +32,7 @@ def _brute_hinge_grad(dataset, w, b):
     return gw, gb, total
 
 
-def _backends():
-    pairs = [("numpy", _kernels.scores_numpy, _kernels.hinge_grad_numpy,
-              _kernels.slot_sums_numpy)]
-    if _kernels.BACKEND == "numba":
-        pairs.append(("numba", _kernels.scores, _kernels.hinge_grad, _kernels.slot_sums))
-    return pairs
-
-
-@pytest.mark.parametrize("name,scores_fn,grad_fn,sums_fn", _backends(),
-                         ids=[p[0] for p in _backends()])
-def test_kernels_match_brute_force(name, scores_fn, grad_fn, sums_fn):
+def test_kernels_match_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(20):
         d = int(rng.integers(1, 30))
@@ -54,18 +40,23 @@ def test_kernels_match_brute_force(name, scores_fn, grad_fn, sums_fn):
         dataset = random_dataset(rng, n, d, density=float(rng.uniform(0.0, 0.6)))
         w = rng.normal(size=d)
         b = float(rng.normal())
-        assert np.allclose(scores_fn(dataset.indptr, dataset.indices, w, b),
-                           _brute_scores(dataset, w, b), atol=1e-12)
-        gw, gb, total = grad_fn(dataset.indptr, dataset.indices, dataset.y_signed, w, b)
+        # The kernels add in the same order as the per-sample oracles, so
+        # every weight sum must match bit for bit.
+        assert np.array_equal(_kernels.scores(dataset.indptr, dataset.indices, w, b),
+                              _brute_scores(dataset, w, b))
+        gw, gb, total = _kernels.hinge_grad(dataset.indptr, dataset.indices,
+                                            dataset.y_signed, w, b)
         ogw, ogb, ototal = _brute_hinge_grad(dataset, w, b)
-        assert np.allclose(gw, ogw, atol=1e-12)
+        assert np.array_equal(gw, ogw)
         assert gb == ogb
+        # np.sum adds the per-sample hinge terms pairwise, the oracle in order.
         assert total == pytest.approx(ototal, rel=1e-12)
         # slot sums vs dense accumulation
         n_slots = int(rng.integers(1, 6))
         slot_ids = rng.integers(0, n_slots, n).astype(np.int64)
         mask = dataset.labels == 1
-        sums, counts = sums_fn(dataset.indptr, dataset.indices, slot_ids, mask, d, n_slots)
+        sums, counts = _kernels.slot_sums(dataset.indptr, dataset.indices, slot_ids, mask,
+                                          d, n_slots)
         dense_sums = np.zeros((d, n_slots))
         dense_counts = np.zeros(n_slots, dtype=np.int64)
         for i, s in enumerate(dataset.samples):
@@ -77,37 +68,11 @@ def test_kernels_match_brute_force(name, scores_fn, grad_fn, sums_fn):
         assert np.array_equal(counts, dense_counts)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "numba", reason="numba backend not active")
-def test_backends_agree():
-    rng = np.random.default_rng(99)
-    for _ in range(10):
-        d = int(rng.integers(2, 60))
-        n = int(rng.integers(2, 120))
-        dataset = random_dataset(rng, n, d, density=0.3)
-        w = rng.normal(size=d)
-        b = float(rng.normal())
-        s_nb = _kernels.scores(dataset.indptr, dataset.indices, w, b)
-        s_np = _kernels.scores_numpy(dataset.indptr, dataset.indices, w, b)
-        assert np.allclose(s_nb, s_np, rtol=0, atol=1e-12)
-        g_nb = _kernels.hinge_grad(dataset.indptr, dataset.indices, dataset.y_signed, w, b)
-        g_np = _kernels.hinge_grad_numpy(dataset.indptr, dataset.indices, dataset.y_signed, w, b)
-        assert np.allclose(g_nb[0], g_np[0], rtol=0, atol=1e-12)
-        assert g_nb[1] == g_np[1]
-        assert g_nb[2] == pytest.approx(g_np[2], rel=1e-12)
-
-
 def test_empty_dataset_kernels():
     indptr = np.zeros(1, dtype=np.int64)
     indices = np.zeros(0, dtype=np.int32)
     y = np.zeros(0)
-    assert _kernels.scores_numpy(indptr, indices, np.ones(3), 0.5).shape == (0,)
-    gw, gb, total = _kernels.hinge_grad_numpy(indptr, indices, y, np.ones(3), 0.5)
+    assert _kernels.scores(indptr, indices, np.ones(3), 0.5).shape == (0,)
+    gw, gb, total = _kernels.hinge_grad(indptr, indices, y, np.ones(3), 0.5)
     assert np.array_equal(gw, np.zeros(3)) and gb == 0.0 and total == 0.0
 
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, DRIFTGUARD_NO_NUMBA="1")
-    code = "from driftguard import _kernels; print(_kernels.BACKEND)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"

@@ -128,3 +128,12 @@ def test_ground_truth_json_round_trip(tmp_path):
     save_ground_truth(str(path), truth, SMALL)
     loaded = load_ground_truth(str(path))
     assert loaded == truth
+
+
+def test_ground_truth_write_error_leaves_no_tmp_file(tmp_path):
+    from driftguard.synth import save_ground_truth
+    _, truth = generate(SMALL)
+    path = tmp_path / "truth.json"
+    with pytest.raises(TypeError):
+        save_ground_truth(str(path), truth, SMALL, provenance={"x": object()})
+    assert list(tmp_path.iterdir()) == []
