@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from . import _kernels
+
+_INT64 = np.iinfo(np.int64)
 
 
 class DataError(ValueError):
@@ -115,51 +118,109 @@ class SparseSample:
                     f"({j} follows {prev})"
                 )
             prev = j
+        if not _INT64.min <= self.timestamp <= _INT64.max or prev > _INT64.max:
+            raise DataError(f"sample {self.id}: timestamp and feature indices must fit in int64")
+
+
+class SampleError(DataError):
+    """A sample breaks a dataset invariant; ``row`` is its position in the dataset."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _validated(d: int, ids, timestamps, labels, indptr, indices):
+    """The sample arrays in Dataset's dtypes, once every invariant holds.
+
+    Labels must be 0 or 1, each row's indices strictly increasing in [0, d)
+    and ids unique. SampleError names the first offending sample; within it,
+    the check listed first wins.
+    """
+    ids = np.array(ids, dtype=StringDType())
+    timestamps, indptr = np.array(timestamps, dtype=np.int64), np.array(indptr, dtype=np.int64)
+    labels, indices = np.asarray(labels, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    n, lengths = len(ids), np.diff(indptr)
+    if (timestamps.shape != (n,) or labels.shape != (n,) or indptr.shape != (n + 1,)
+            or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(lengths < 0)):
+        raise DataError("inconsistent dataset arrays")
+    starts = np.zeros(len(indices), dtype=bool)
+    starts[indptr[:-1][lengths > 0]] = True
+    unordered = np.zeros(len(indices), dtype=bool)
+    unordered[1:] = (indices[1:] <= indices[:-1]) & ~starts[1:]
+
+    def row(k):  # the sample that holds index position k
+        return np.searchsorted(indptr, k, side="right") - 1
+
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later copies of an id
+    # (row, check rank, message) of each check's first offender; [:1] keeps at most one
+    found = [(r, 0, f"label must be 0 or 1, got {labels[r]}")
+             for r in np.flatnonzero((labels != 0) & (labels != 1))[:1]]
+    found += [(row(k), 1, f"negative feature index {indices[k]}")
+              for k in np.flatnonzero(indices < 0)[:1]]
+    found += [(row(k), 2, f"indices must be strictly increasing ({indices[k]} follows "
+                          f"{indices[k - 1]})") for k in np.flatnonzero(unordered)[:1]]
+    found += [(row(k), 3, f"feature index {indices[k]} out of range for d={d}")
+              for k in np.flatnonzero(indices >= d)[:1]]
+    found += [(repeats.min(), 4, "duplicate sample id")] if repeats.size else []
+    if found:
+        r, _, message = min(found)
+        raise SampleError(int(r), f"sample {ids[r]}: {message}")
+    return ids, timestamps, labels.astype(np.int8), indptr, indices.astype(np.int32)
 
 
 class Dataset:
-    """A feature dictionary plus samples, with CSR-style arrays for the kernels.
+    """A feature dictionary plus samples stored as read-only CSR-style arrays.
 
-    The CSR arrays (``indptr``, ``indices``, ``labels``, ``timestamps``,
-    ``y_signed``) are built once at construction and marked read-only; every
-    batch operation in the package works off them.
+    ``ids``, ``timestamps``, ``labels`` and ``y_signed`` hold one entry per
+    sample; the feature indices of sample i are
+    ``indices[indptr[i]:indptr[i + 1]]``. The arrays are the only storage;
+    ``samples`` builds SparseSample objects on demand.
     """
 
-    __slots__ = ("dictionary", "samples", "indptr", "indices", "labels",
+    __slots__ = ("dictionary", "ids", "indptr", "indices", "labels",
                  "timestamps", "y_signed")
 
     def __init__(self, dictionary: FeatureDictionary, samples: Iterable[SparseSample]):
         samples = tuple(samples)
-        d = dictionary.d
-        n = len(samples)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        labels = np.zeros(n, dtype=np.int8)
-        timestamps = np.zeros(n, dtype=np.int64)
-        for i, s in enumerate(samples):
-            if s.indices and s.indices[-1] >= d:
-                raise DataError(
-                    f"sample {s.id}: feature index {s.indices[-1]} out of range for d={d}"
-                )
-            indptr[i + 1] = indptr[i] + len(s.indices)
-            labels[i] = s.label
-            timestamps[i] = s.timestamp
-        indices = np.zeros(indptr[-1], dtype=np.int32)
-        for i, s in enumerate(samples):
-            indices[indptr[i]:indptr[i + 1]] = s.indices
+        self._adopt(dictionary, *_validated(
+            dictionary.d, [s.id for s in samples], [s.timestamp for s in samples],
+            [s.label for s in samples], np.cumsum([0] + [len(s.indices) for s in samples]),
+            [j for s in samples for j in s.indices]))
+
+    @classmethod
+    def from_arrays(cls, dictionary: FeatureDictionary, ids, timestamps, labels,
+                    indptr, indices) -> "Dataset":
+        """Dataset over per-sample arrays and a CSR pair, validated like the constructor."""
+        return cls.__new__(cls)._adopt(
+            dictionary, *_validated(dictionary.d, ids, timestamps, labels, indptr, indices))
+
+    def _adopt(self, dictionary, ids, timestamps, labels, indptr, indices) -> "Dataset":
         y_signed = labels.astype(np.float64) * 2.0 - 1.0
-        for arr in (indptr, indices, labels, timestamps, y_signed):
+        for arr in (ids, timestamps, labels, indptr, indices, y_signed):
             arr.flags.writeable = False
         self.dictionary = dictionary
-        self.samples = samples
+        self.ids = ids
+        self.timestamps = timestamps
+        self.labels = labels
         self.indptr = indptr
         self.indices = indices
-        self.labels = labels
-        self.timestamps = timestamps
         self.y_signed = y_signed
+        return self
+
+    @property
+    def samples(self) -> tuple[SparseSample, ...]:
+        """The samples as SparseSample objects, built anew on each access."""
+        bounds, flat = self.indptr.tolist(), self.indices.tolist()
+        return tuple(
+            SparseSample(id=sid, timestamp=ts, label=label, indices=tuple(flat[a:b]))
+            for sid, ts, label, a, b in zip(self.ids.tolist(), self.timestamps.tolist(),
+                                            self.labels.tolist(), bounds[:-1], bounds[1:]))
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
     @property
     def d(self) -> int:
@@ -167,13 +228,13 @@ class Dataset:
 
     @property
     def t_min(self) -> int:
-        if not self.samples:
+        if not self.n:
             raise DataError("empty dataset has no timestamps")
         return int(self.timestamps.min())
 
     @property
     def t_max(self) -> int:
-        if not self.samples:
+        if not self.n:
             raise DataError("empty dataset has no timestamps")
         return int(self.timestamps.max())
 
@@ -187,8 +248,10 @@ class Dataset:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n,):
             raise DataError(f"subset mask must have length {self.n}")
-        kept = [s for s, keep in zip(self.samples, mask) if keep]
-        return Dataset(self.dictionary, kept)
+        lengths = np.diff(self.indptr)
+        return Dataset.__new__(Dataset)._adopt(
+            self.dictionary, self.ids[mask], self.timestamps[mask], self.labels[mask],
+            np.cumsum(np.r_[0, lengths[mask]]), self.indices[np.repeat(mask, lengths)])
 
     def __len__(self) -> int:
         return self.n

@@ -10,7 +10,6 @@ accelerate score decay over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -59,14 +58,9 @@ class SlotLayout(NamedTuple):
         return len(self.bounds)
 
 
-def _month_index(ts: int) -> int:
-    dt = datetime.fromtimestamp(int(ts), tz=timezone.utc)
-    return dt.year * 12 + (dt.month - 1)
-
-
-def _month_start_epoch(month_index: int) -> int:
-    year, month = divmod(month_index, 12)
-    return int(datetime(year, month + 1, 1, tzinfo=timezone.utc).timestamp())
+# Month mode covers years 1 through 9999 UTC, epoch seconds in [_YEAR_1, _YEAR_10000).
+_YEAR_1, _YEAR_10000 = np.array(["0001-01-01", "10000-01-01"],
+                                dtype="datetime64[s]").astype(np.int64).tolist()
 
 
 def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
@@ -80,22 +74,22 @@ def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
     if dataset.n == 0:
         raise DataError("cannot slot an empty dataset")
     ts = dataset.timestamps
+    t_min, t_max = int(ts.min()), int(ts.max())
     if config.slot_mode == "fixed":
-        t_min = int(ts.min())
-        t_max = int(ts.max())
         dt = config.dt_seconds
         n_slots = max(1, -((t_min - t_max) // dt))  # ceil((t_max - t_min) / dt)
         ids = (ts - t_min) // dt
         ids = np.minimum(ids, n_slots - 1).astype(np.int64)
         bounds = tuple((t_min + k * dt, t_min + (k + 1) * dt) for k in range(n_slots))
         return SlotLayout(ids, bounds)
-    first = _month_index(int(ts.min()))
-    last = _month_index(int(ts.max()))
-    ids = np.fromiter((_month_index(t) - first for t in ts), dtype=np.int64, count=len(ts))
-    bounds = tuple(
-        (_month_start_epoch(first + k), _month_start_epoch(first + k + 1))
-        for k in range(last - first + 1)
-    )
+    if t_min < _YEAR_1 or t_max >= _YEAR_10000:
+        raise DataError(f"month slots need timestamps in years 1-9999 UTC, "
+                        f"got {t_min if t_min < _YEAR_1 else t_max}")
+    months = ts.astype("datetime64[s]").astype("datetime64[M]")
+    first = months.min()
+    ids = (months - first).astype(np.int64)
+    starts = np.arange(first, months.max() + 2).astype("datetime64[s]").astype(np.int64).tolist()
+    bounds = tuple(zip(starts[:-1], starts[1:]))
     return SlotLayout(ids, bounds)
 
 

@@ -22,11 +22,12 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DataError, Dataset, FeatureDictionary, LinearModel, SparseSample
+from .core import DataError, Dataset, FeatureDictionary, LinearModel, SampleError
 from .drift import DriftReport, SlotScoreStats
 from .evaluation import SlotMetrics
 
@@ -72,21 +73,66 @@ def _fmt(value: float) -> str:
 
 # --- datasets ---------------------------------------------------------------
 
+# Sample lines per int conversion of the index column; bounds the transient
+# per-token strings to a few MB.
+_CHUNK_ROWS = 1 << 14
+
+
+def _read_lines(path: str) -> list[str]:
+    """The file's text lines; a byte that is not UTF-8 is an error at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1,
+                              f"not valid UTF-8 ({exc.reason})") from None
+
+
 def save_dataset(path: str, dataset: Dataset, provenance: Mapping | None = None) -> None:
+    digits = np.array([str(j) for j in range(dataset.d)], dtype=object)
+    tokens, bounds = digits[dataset.indices].tolist(), dataset.indptr.tolist()
     with _atomic_text(path) as fh:
         fh.write(f"{DATASET_MAGIC} {FORMAT_VERSION} d={dataset.d}\n")
         for line in _comment_lines(provenance):
             fh.write(line + "\n")
         for i, name in enumerate(dataset.dictionary.names):
             fh.write(f"#feature {i} {name}\n")
-        for s in dataset.samples:
-            idx = ",".join(str(j) for j in s.indices)
-            fh.write(f"{s.id}\t{s.timestamp}\t{s.label}\t{idx}\n")
+        fh.write("".join(
+            f"{sid}\t{ts}\t{label}\t{','.join(tokens[a:b])}\n"
+            for sid, ts, label, a, b in zip(dataset.ids.tolist(), dataset.timestamps.tolist(),
+                                            dataset.labels.tolist(), bounds[:-1], bounds[1:])))
+
+
+def _is_sample_line(line: str) -> bool:
+    return not line.startswith("#") and bool(line.strip())
+
+
+def _bad_record(path: str, lines: list[str]) -> FileFormatError:
+    """The error at the first sample line that is not id, then int64 epoch, label, indices."""
+    for lineno, line in enumerate(lines, start=1):
+        if not _is_sample_line(line):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            return FileFormatError(
+                path, lineno, f"expected 4 tab-separated fields, got {len(fields)}"
+            )
+        try:
+            np.array(fields[1:3] + (fields[3].split(",") if fields[3] else []), dtype=np.int64)
+        except (ValueError, OverflowError):
+            return FileFormatError(path, lineno, f"malformed sample record {line!r}")
+    return FileFormatError(path, len(lines), "malformed sample record")
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Parse a dataset file column by column.
+
+    Errors name the file and a line: the first sample line that does not
+    parse into int64 fields, else the first sample that breaks a Dataset
+    invariant.
+    """
+    lines = _read_lines(path)
     if not lines:
         raise FileFormatError(path, 1, "empty file")
     head = lines[0].split()
@@ -101,48 +147,47 @@ def load_dataset(path: str) -> Dataset:
     except ValueError:
         raise FileFormatError(path, 1, f"bad dimensionality {head[2]!r}") from None
     names: list[str] = []
-    samples: list[SparseSample] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, line in enumerate(lines, start=1):
+        if not line.startswith("#feature "):
             continue
-        if line.startswith("#feature "):
-            parts = line.split(" ", 2)
-            if len(parts) != 3:
-                raise FileFormatError(path, lineno, "malformed #feature line")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise FileFormatError(path, lineno, f"bad feature index {parts[1]!r}") from None
-            if idx != len(names):
-                raise FileFormatError(
-                    path, lineno, f"feature index {idx} out of order (expected {len(names)})"
-                )
-            names.append(parts[2])
-            continue
-        if line.startswith("#"):
-            continue  # comment/provenance
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise FileFormatError(
-                path, lineno, f"expected 4 tab-separated fields, got {len(fields)}"
-            )
-        sid, ts_str, label_str, idx_str = fields
+        parts = line.split(" ", 2)
+        if len(parts) != 3:
+            raise FileFormatError(path, lineno, "malformed #feature line")
         try:
-            ts = int(ts_str)
-            label = int(label_str)
-            indices = tuple(int(tok) for tok in idx_str.split(",")) if idx_str else ()
+            idx = int(parts[1])
         except ValueError:
-            raise FileFormatError(path, lineno, f"malformed sample record {line!r}") from None
-        try:
-            samples.append(SparseSample(id=sid, timestamp=ts, label=label, indices=indices))
-        except DataError as exc:
-            raise FileFormatError(path, lineno, str(exc)) from None
+            raise FileFormatError(path, lineno, f"bad feature index {parts[1]!r}") from None
+        if idx != len(names):
+            raise FileFormatError(
+                path, lineno, f"feature index {idx} out of order (expected {len(names)})"
+            )
+        names.append(parts[2])
     if len(names) != d:
         raise FileFormatError(
             path, len(lines), f"header declares d={d} but {len(names)} #feature lines found"
         )
+    rows = list(filter(_is_sample_line, lines))
+    n = len(rows)
+    if np.any(np.fromiter(map(str.count, rows, repeat("\t")), np.int64, n) != 3):
+        raise _bad_record(path, lines)
+    fields = "\t".join(rows).split("\t") if rows else []
+    idx_fields = fields[3::4]
+    lengths = (np.fromiter(map(str.count, idx_fields, repeat(",")), np.int64, n)
+               + np.fromiter(map(bool, idx_fields), bool, n))
     try:
-        return Dataset(FeatureDictionary(names), samples)
+        timestamps, labels = (np.array(fields[k::4], dtype=np.int64) for k in (1, 2))
+        chunks = (",".join(filter(None, idx_fields[lo:lo + _CHUNK_ROWS]))
+                  for lo in range(0, n, _CHUNK_ROWS))
+        indices = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                 + [np.array(c.split(","), dtype=np.int64) for c in chunks if c])
+    except (ValueError, OverflowError):
+        raise _bad_record(path, lines) from None
+    try:
+        return Dataset.from_arrays(FeatureDictionary(names), fields[0::4], timestamps, labels,
+                                   np.cumsum(np.r_[0, lengths]), indices)
+    except SampleError as exc:
+        lineno = [k for k, line in enumerate(lines, start=1) if _is_sample_line(line)][exc.row]
+        raise FileFormatError(path, lineno, str(exc)) from None
     except DataError as exc:
         raise FileFormatError(path, len(lines), str(exc)) from None
 
@@ -184,10 +229,10 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
                ) -> tuple[LinearModel, dict]:
     """Load a model plus its metadata dict (bounded set, config echo).
 
-    When ``dictionary`` is given, its fingerprint must match the stored one.
+    When ``dictionary`` is given, its fingerprint and d must match the stored
+    ones; both are checked before the weight vector is allocated.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise FileFormatError(path, 1, "empty file")
     head = lines[0].split()
@@ -197,7 +242,6 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
         raise FileFormatError(path, 1, f"unsupported format version {head[1]!r}")
     keys: dict[str, str] = {}
     key_lines: dict[str, int] = {}
-    meta: dict = {"config": {}}
     weights: list[tuple[int, int, float]] = []  # (lineno, index, value)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
@@ -214,18 +258,19 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
         if "=" not in line:
             raise FileFormatError(path, lineno, f"expected key=value line, got {line!r}")
         key, value = line.split("=", 1)
-        if key.startswith("config."):
-            meta["config"][key[len("config."):]] = value
-        else:
-            keys[key] = value
-            key_lines[key] = lineno
+        if key in keys:
+            raise FileFormatError(path, lineno, f"duplicate {key}= line")
+        keys[key] = value
+        key_lines[key] = lineno
     for required in ("d", "bias", "fingerprint", "encoding"):
         if required not in keys:
             raise FileFormatError(path, len(lines), f"missing {required}= line")
     try:
         d = int(keys["d"])
     except ValueError:
-        raise FileFormatError(path, key_lines["d"], f"malformed d= value {keys['d']!r}") from None
+        d = -1
+    if d < 0:
+        raise FileFormatError(path, key_lines["d"], f"malformed d= value {keys['d']!r}")
     try:
         bias = float(keys["bias"])
     except ValueError:
@@ -236,6 +281,24 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
     if keys["encoding"] not in ("dense", "sparse"):
         raise FileFormatError(path, key_lines["encoding"],
                               f"unknown encoding {keys['encoding']!r}")
+    meta: dict = {"config": {key[len("config."):]: value for key, value in keys.items()
+                             if key.startswith("config.")}}
+    if "bounded" in keys:
+        try:
+            meta["bounded"] = (
+                [int(tok) for tok in keys["bounded"].split(",")] if keys["bounded"] else []
+            )
+        except ValueError:
+            raise FileFormatError(path, key_lines["bounded"],
+                                  f"malformed bounded= value {keys['bounded']!r}") from None
+    fingerprint = keys["fingerprint"]
+    if dictionary is not None and (dictionary.fingerprint, dictionary.d) != (fingerprint, d):
+        raise DataError(f"model fingerprint {fingerprint} (d={d}) does not match dictionary "
+                        f"fingerprint {dictionary.fingerprint} (d={dictionary.d})")
+    if keys["encoding"] == "dense" and len(weights) != d:
+        raise FileFormatError(
+            path, len(lines), f"dense encoding expects {d} weight lines, got {len(weights)}"
+        )
     w = np.zeros(d, dtype=np.float64)
     seen = np.zeros(d, dtype=bool)
     for lineno, j, value in weights:
@@ -247,20 +310,6 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
             raise FileFormatError(path, lineno, f"weight {j} is not finite: {value!r}")
         w[j] = value
         seen[j] = True
-    if keys["encoding"] == "dense" and not seen.all():
-        raise FileFormatError(
-            path, len(lines), f"dense encoding expects {d} weight lines, got {len(weights)}"
-        )
-    if "bounded" in keys:
-        meta["bounded"] = (
-            [int(tok) for tok in keys["bounded"].split(",")] if keys["bounded"] else []
-        )
-    fingerprint = keys["fingerprint"]
-    if dictionary is not None and dictionary.fingerprint != fingerprint:
-        raise DataError(
-            f"model fingerprint {fingerprint} does not match dictionary "
-            f"fingerprint {dictionary.fingerprint}"
-        )
     return LinearModel(w, bias, fingerprint), meta
 
 

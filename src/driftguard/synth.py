@@ -25,8 +25,9 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.dtypes import StringDType
 
-from .core import DataError, Dataset, FeatureDictionary, SparseSample
+from .core import DataError, Dataset, FeatureDictionary
 from .io import _atomic_text
 
 # 2014-01-01T00:00:00Z; gives generated data realistic epoch timestamps.
@@ -172,20 +173,21 @@ def generate(spec: SynthSpec) -> tuple[Dataset, GroundTruth]:
     """
     rng = np.random.default_rng(spec.seed)
     dictionary = FeatureDictionary(_feature_names(spec))
-    samples = []
+    n = spec.n_per_slot
+    suffixes = np.strings.zfill(np.arange(n).astype(StringDType()), 4)
+    blocks = []  # (ids, timestamps, labels, row lengths, indices) per (slot, class)
+    uniforms = np.empty((n, spec.d))  # refilled per block: the same stream, allocated once
     for slot in range(spec.n_slots):
         slot_start = BASE_EPOCH + slot * spec.slot_seconds
         p_pos, p_neg = _activation_probs(spec, slot)
         for label, probs, tag in ((1, p_pos, "pos"), (0, p_neg, "neg")):
-            draws = rng.random((spec.n_per_slot, spec.d)) < probs
-            offsets = rng.integers(0, spec.slot_seconds, size=spec.n_per_slot)
-            for i in range(spec.n_per_slot):
-                samples.append(SparseSample(
-                    id=f"{tag}-{slot:02d}-{i:04d}",
-                    timestamp=slot_start + int(offsets[i]),
-                    label=label,
-                    indices=tuple(np.flatnonzero(draws[i]).tolist()),
-                ))
+            draws = rng.random(out=uniforms) < probs
+            offsets = rng.integers(0, spec.slot_seconds, size=n)
+            # positions in the row-major block, so each row's indices come out ascending
+            rows, cols = np.divmod(np.flatnonzero(draws), spec.d)
+            blocks.append((np.strings.add(f"{tag}-{slot:02d}-", suffixes), slot_start + offsets,
+                           np.full(n, label), np.bincount(rows, minlength=n), cols))
+    ids, timestamps, labels, lengths, indices = (np.concatenate(c) for c in zip(*blocks))
     a = spec.stable_pos
     b = a + spec.stable_neg
     c = b + spec.n_drift_up
@@ -197,7 +199,8 @@ def generate(spec: SynthSpec) -> tuple[Dataset, GroundTruth]:
         stable_neg=tuple(range(a, b)),
         slot_seconds=spec.slot_seconds,
     )
-    return Dataset(dictionary, samples), truth
+    return Dataset.from_arrays(dictionary, ids, timestamps, labels,
+                               np.cumsum(np.r_[0, lengths]), indices), truth
 
 
 def save_ground_truth(path: str, truth: GroundTruth, spec: SynthSpec,

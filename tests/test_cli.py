@@ -158,6 +158,35 @@ def test_fingerprint_mismatch_exits_two(tmp_path, synth_files):
                 "--out", str(tmp_path / "d.csv"), *SLOT_ARGS]) == 2
 
 
+def test_hostile_input_files_exit_two(tmp_path, capsys):
+    fd = driftguard.FeatureDictionary(["a", "b"])
+    samples = [driftguard.SparseSample(id=f"s{i}", timestamp=10**12 * (i == 2), label=i % 2,
+                                       indices=(i % 2,)) for i in range(3)]
+    data = str(tmp_path / "data.dg")
+    dgio.save_dataset(data, driftguard.Dataset(fd, samples))
+    model = str(tmp_path / "m.model")
+    dgio.save_model(model, driftguard.LinearModel.for_dictionary([1.0, -1.0], 0.0, fd))
+    good = open(model, "rb").read()
+    bad_model = str(tmp_path / "bad.model")
+    bad_data = str(tmp_path / "bad.dg")
+    open(bad_data, "wb").write(open(data, "rb").read().replace(b"s1", b"s\xff"))
+    cases = [
+        (data, good.replace(b"d=2", b"d=-1"), "fixed", "bad.model:"),
+        (data, good + b"bounded=a,b\n", "fixed", "bad.model:"),
+        (data, good + b"bias=1.0\n", "fixed", "bad.model:"),
+        (data, good.replace(b"encoding", b"\xfeencoding"), "fixed", "bad.model:"),
+        (bad_data, good, "fixed", "bad.dg:"),
+        (data, good, "month", "years 1-9999"),
+    ]
+    for dataset, model_bytes, mode, message in cases:
+        open(bad_model, "wb").write(model_bytes)
+        code = run(["eval", "--dataset", dataset, "--model", bad_model, "--slot-mode", mode,
+                    "--out", str(tmp_path / "e.csv"), "--no-provenance-timestamp"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "e.csv")
+
+
 def test_deterministic_outputs_with_suppressed_timestamp(tmp_path):
     out = str(tmp_path / "a.dg")
     assert run(SYNTH_ARGS + ["--out", out]) == 0

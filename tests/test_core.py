@@ -90,6 +90,10 @@ def test_sample_validation():
         dg.SparseSample(id="x", timestamp=0, label=0, indices=(1, 1))
     with pytest.raises(DataError, match="negative"):
         dg.SparseSample(id="x", timestamp=0, label=0, indices=(-1, 2))
+    with pytest.raises(DataError, match="x: timestamp and feature indices must fit in int64"):
+        dg.SparseSample(id="x", timestamp=2**63, label=0, indices=())
+    with pytest.raises(DataError, match="x: timestamp and feature indices must fit in int64"):
+        dg.SparseSample(id="x", timestamp=0, label=0, indices=(0, 2**64))
 
 
 def test_dataset_rejects_out_of_range_index():
@@ -97,6 +101,11 @@ def test_dataset_rejects_out_of_range_index():
     bad = dg.SparseSample(id="s9", timestamp=0, label=0, indices=(0, 5))
     with pytest.raises(DataError, match=r"s9.*5.*d=2"):
         dg.Dataset(fd, [bad])
+    # ids must be unique; the error names the later copy and its position
+    twins = [dg.SparseSample(id=sid, timestamp=0, label=0, indices=()) for sid in "aba"]
+    with pytest.raises(DataError, match="sample a: duplicate sample id") as info:
+        dg.Dataset(fd, twins)
+    assert info.value.row == 2
 
 
 def test_score_error_names_sample_and_dimension():
@@ -151,6 +160,19 @@ def test_dataset_basic_properties_and_subset():
     empty = binary_dataset([], [], d=2)
     with pytest.raises(DataError, match="empty"):
         _ = empty.t_min
+
+
+def test_subset_matches_rebuild_from_kept_samples():
+    rng = np.random.default_rng(4)
+    ds = random_dataset(rng, 40, 12, density=0.3)
+    mask = rng.random(ds.n) < 0.5
+    sub = ds.subset(mask)
+    rebuilt = dg.Dataset(ds.dictionary, [s for s, keep in zip(ds.samples, mask) if keep])
+    for name in ("ids", "timestamps", "labels", "indptr", "indices", "y_signed"):
+        a, b = getattr(sub, name), getattr(rebuilt, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert sub.samples == rebuilt.samples
+    assert ds.subset(np.zeros(ds.n, bool)).n == 0
 
 
 def test_csr_arrays_are_readonly():

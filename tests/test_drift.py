@@ -41,6 +41,16 @@ def test_slot_count_calendar_months():
         if m == 13:
             y, m = y + 1, 1
     assert slot_count(ds, DriftConfig(slot_mode="month")) == len(months) == 3
+    # month mode spans years 1-9999 UTC; the slot of December 9999 ends in year 10000
+    dec_9999 = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp())
+    ds = binary_dataset([[0], [0]], [1, 0], timestamps=[dec_9999 - 40 * 86400, dec_9999])
+    layout = slot_layout(ds, DriftConfig(slot_mode="month"))
+    assert layout.slot_ids.tolist() == [0, 1]
+    assert layout.bounds[-1] == (_utc(9999, 12, 1), 253402300800)
+    for t in (10**12, -10**12):
+        ds = binary_dataset([[0]], [1], timestamps=[t])
+        with pytest.raises(DataError, match="years 1-9999"):
+            slot_count(ds, DriftConfig(slot_mode="month"))
 
 
 def test_month_mode_spans_empty_middle_months():

@@ -79,6 +79,40 @@ def test_dataset_malformed_record_names_line(tmp_path):
         fh.write("s1\t17\t0\n")  # truncated: missing indices field
     with pytest.raises(dgio.FileFormatError, match=r"trunc\.dg:5"):
         dgio.load_dataset(path)
+    # each bad sample line is reported at its own line, not at the file's last
+    head = "#driftguard-dataset v1 d=2\n#feature 0 a\n#feature 1 b\n"
+    cases = [
+        ("s0\t5\t1\t0\ns1\t9223372036854775808\t0\t1\ns2\t6\t0\t\n",
+         r"trunc\.dg:5: malformed sample record 's1\\t9223372036854775808"),
+        ("s0\t5\t1\t0\n# note\ns0\t6\t0\t1\ns2\t7\t0\t\n",
+         r"trunc\.dg:6: sample s0: duplicate sample id"),
+        ("s0\t5\t1\t0\ns1\t6\t0\t1,2\ns2\t7\t0\t\n",
+         r"trunc\.dg:5: sample s1: feature index 2 out of range for d=2"),
+        ("s0\t5\t1\t0\ns1\t6\t0\t1,0\ns2\t7\t0\t\n",
+         r"trunc\.dg:5: sample s1: indices must be strictly increasing \(0 follows 1\)"),
+        ("s0\t5\t1\t0\ns1\t6\t0\t1,,0\ns2\t7\t0\t\n",
+         r"trunc\.dg:5: malformed sample record"),
+    ]
+    for body, message in cases:
+        with open(path, "w") as fh:
+            fh.write(head + body)
+        with pytest.raises(dgio.FileFormatError, match=message):
+            dgio.load_dataset(path)
+    with open(path, "wb") as fh:
+        fh.write(head.encode() + b"s0\t5\t1\t0\ns\xff1\t6\t0\t1\n")
+    with pytest.raises(dgio.FileFormatError, match=r"trunc\.dg:5: not valid UTF-8"):
+        dgio.load_dataset(path)
+
+
+def test_dataset_integer_fields_follow_int_rules(tmp_path):
+    path = str(tmp_path / "ints.dg")
+    with open(path, "w") as fh:
+        fh.write("#driftguard-dataset v1 d=2\n#feature 0 a\n#feature 1 b\n\n")
+        fh.write("s0\t1_000\t+1\t 0,1 \ns1\t-5\t0\t\n")
+    ds = dgio.load_dataset(path)
+    assert ds.timestamps.tolist() == [1000, -5]
+    assert ds.labels.tolist() == [1, 0]
+    assert ds.indptr.tolist() == [0, 2, 2] and ds.indices.tolist() == [0, 1]
 
 
 def test_dataset_bad_label_reports_line(tmp_path):
@@ -186,6 +220,31 @@ def test_model_version_and_weight_errors(tmp_path):
             fh.write(header.format(bias) + weight_lines)
         with pytest.raises(dgio.FileFormatError, match=message):
             dgio.load_model(path)
+    # hostile header lines are format errors at their own line
+    fd = dg.FeatureDictionary(["a", "b"])
+    header = "#driftguard-model v1\nd={}\nbias=0.0\nfingerprint={}\nencoding=sparse\n"
+    cases = [
+        (header.format(-1, "x"), r"bad\.model:2: malformed d= value '-1'"),
+        (header.format(2, "x") + "bounded=a,b\n", r"bad\.model:6: malformed bounded= value 'a,b'"),
+        (header.format(2, "x") + "bias=1.0\n", r"bad\.model:6: duplicate bias= line"),
+        (header.format(2**62, "x").replace("sparse", "dense"),
+         r"bad\.model:5: dense encoding expects \d+ weight lines, got 0"),
+    ]
+    for text, message in cases:
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(dgio.FileFormatError, match=message):
+            dgio.load_model(path)
+    # a dictionary is checked against the header before the weights are allocated
+    for d in (3, 2**62):
+        with open(path, "w") as fh:
+            fh.write(header.format(d, fd.fingerprint))
+        with pytest.raises(DataError, match=rf"\(d={d}\) does not match .*\(d=2\)"):
+            dgio.load_model(path, dictionary=fd)
+    with open(path, "wb") as fh:
+        fh.write(b"#driftguard-model v1\nd=1\nbias=0.0\nfingerprint=\xe9\n")
+    with pytest.raises(dgio.FileFormatError, match=r"bad\.model:4: not valid UTF-8"):
+        dgio.load_model(path)
 
 
 # --- reports --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from driftguard import io as dgio
 from driftguard.core import DataError
 from driftguard.drift import DriftConfig, fit_slope, slot_means
 from driftguard.synth import BASE_EPOCH, SynthSpec, generate
@@ -137,3 +140,14 @@ def test_ground_truth_write_error_leaves_no_tmp_file(tmp_path):
     with pytest.raises(TypeError):
         save_ground_truth(str(path), truth, SMALL, provenance={"x": object()})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generated_file_bytes_are_pinned(tmp_path):
+    # a change to the order of the RNG calls or to the dataset format changes
+    # this sha256 of the file the spec generates
+    spec = SynthSpec(d=50, n_per_slot=10, n_slots=4, seed=3,
+                     stable_pos=5, stable_neg=5, n_drift_up=5, n_drift_down=5)
+    path = tmp_path / "pinned.dg"
+    dgio.save_dataset(str(path), generate(spec)[0])
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e9dc1e7fcc173db42d60617fb3e8802d5d449920304ddbb6d4c77f8626cc6a3f"
