@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from . import __version__, _kernels
 from . import io as dgio
 from .core import DataError, NumericError
-from .drift import DriftConfig, score_trend, t_stability
+from .drift import DriftConfig, SlotView, score_trend, t_stability
 from .evaluation import SlotMetrics, SplitSpec, decay_slope, evaluate_slots, temporal_split
 from .synth import SynthSpec, generate, save_ground_truth
 from .trainer import CbConfig, TrainConfig, train_svm, train_svm_cb
@@ -238,6 +238,7 @@ def _cmd_compare(args) -> int:
     dataset = dgio.load_dataset(args.dataset)
     train_set, test_set = temporal_split(dataset, SplitSpec(args.boundary))
     slot_config = _drift_config(args)
+    test_view = SlotView.build(test_set, slot_config)  # a bad slot config fails before training
     prov = _provenance(args)
     os.makedirs(args.out, exist_ok=True)
 
@@ -257,10 +258,11 @@ def _cmd_compare(args) -> int:
     for name, model, bounded in models:
         dgio.save_model(os.path.join(args.out, f"{name}.model"), model,
                         bounded=bounded, provenance=prov)
-        metrics = evaluate_slots(model, test_set, slot_config, args.fpr_cap)
+        view = test_view.scored(model, test_set)
+        metrics = evaluate_slots(model, test_set, slot_config, args.fpr_cap, view=view)
         dgio.save_eval_report(os.path.join(args.out, f"eval_{name}.csv"),
                               metrics, provenance=prov)
-        trends = {label: score_trend(model, test_set, slot_config, class_label=label)
+        trends = {label: score_trend(model, test_set, slot_config, class_label=label, view=view)
                   for label in (0, 1)}
         dgio.save_score_trend(os.path.join(args.out, f"score_trend_{name}.csv"),
                               trends, provenance=prov)

@@ -32,6 +32,14 @@ class NumericError(RuntimeError):
     """Non-finite values encountered during numeric optimization."""
 
 
+class FeatureError(DataError):
+    """A feature name breaks a FeatureDictionary invariant; ``index`` is its position."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class FeatureDictionary:
     """Ordered, immutable mapping between feature names and indices.
 
@@ -48,11 +56,10 @@ class FeatureDictionary:
         index: dict[str, int] = {}
         for i, name in enumerate(names):
             if not name or "\t" in name or "\n" in name:
-                raise DataError(
-                    f"feature {i}: name must be nonempty and free of tabs/newlines"
-                )
+                raise FeatureError(i, f"feature {i}: name must be nonempty and free of "
+                                      "tabs/newlines")
             if name in index:
-                raise DataError(f"duplicate feature name {name!r}")
+                raise FeatureError(i, f"duplicate feature name {name!r}")
             index[name] = i
         self._names = names
         self._index = index

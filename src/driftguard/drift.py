@@ -58,9 +58,45 @@ class SlotLayout(NamedTuple):
         return len(self.bounds)
 
 
+class SlotView(NamedTuple):
+    """One dataset's samples grouped by (slot, class), plus optionally one model's scores.
+
+    ``order`` is the stable argsort of ``slot_ids * 2 + labels``, so group
+    ``2k + c`` (the class-c samples of slot k) is the contiguous run
+    ``order[cuts[2k + c]:cuts[2k + c + 1]]``, in file order. ``scores`` holds
+    one model's scores in that order; ``group`` slices them.
+    """
+
+    layout: SlotLayout
+    order: np.ndarray
+    cuts: np.ndarray                 # 2 * n_slots + 1 group boundaries into order
+    scores: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, dataset: Dataset, config: DriftConfig) -> "SlotView":
+        layout = slot_layout(dataset, config)
+        keys = layout.slot_ids * 2 + dataset.labels
+        order = np.argsort(keys, kind="stable")
+        return cls(layout, order, np.searchsorted(keys[order], np.arange(2 * layout.n_slots + 1)))
+
+    def scored(self, model: LinearModel, dataset: Dataset) -> "SlotView":
+        """This view carrying model's scores of dataset, the dataset it was built from."""
+        if dataset.n != len(self.order):
+            raise DataError(f"slot view of {len(self.order)} samples does not fit "
+                            f"a dataset of {dataset.n}")
+        return self._replace(scores=score_dataset(model, dataset)[self.order])
+
+    def group(self, slot: int, label: int) -> np.ndarray:
+        """Scores of slot's class-label samples, in file order."""
+        g = 2 * slot + label
+        return self.scores[self.cuts[g]:self.cuts[g + 1]]
+
+
 # Month mode covers years 1 through 9999 UTC, epoch seconds in [_YEAR_1, _YEAR_10000).
 _YEAR_1, _YEAR_10000 = np.array(["0001-01-01", "10000-01-01"],
                                 dtype="datetime64[s]").astype(np.int64).tolist()
+# Month mode makes at most 9999 * 12 slots; fixed mode is held to the same count.
+MAX_SLOTS = 9999 * 12
 
 
 def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
@@ -69,7 +105,8 @@ def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
     Fixed mode partitions [t_min, t_max] into half-open windows
     [t_min + k*dt, t_min + (k+1)*dt), the final window right-closed so the
     latest sample always lands inside. Month mode spans every UTC calendar
-    month from t_min's to t_max's inclusive, empty months included.
+    month from t_min's to t_max's inclusive, empty months included. Either
+    mode makes at most MAX_SLOTS slots.
     """
     if dataset.n == 0:
         raise DataError("cannot slot an empty dataset")
@@ -78,8 +115,12 @@ def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
     if config.slot_mode == "fixed":
         dt = config.dt_seconds
         n_slots = max(1, -((t_min - t_max) // dt))  # ceil((t_max - t_min) / dt)
-        ids = (ts - t_min) // dt
-        ids = np.minimum(ids, n_slots - 1).astype(np.int64)
+        if n_slots > MAX_SLOTS:
+            raise DataError(f"{dt}-second slots over epochs {t_min}..{t_max} make {n_slots} "
+                            f"slots; at most {MAX_SLOTS} are supported")
+        # offsets from t_min in uint64 arithmetic, exact for any span of int64 epochs
+        offsets = ts.astype(np.uint64) - np.uint64(t_min % 2**64)
+        ids = np.minimum(offsets // np.uint64(min(dt, 2**64 - 1)), n_slots - 1).astype(np.int64)
         bounds = tuple((t_min + k * dt, t_min + (k + 1) * dt) for k in range(n_slots))
         return SlotLayout(ids, bounds)
     if t_min < _YEAR_1 or t_max >= _YEAR_10000:
@@ -261,18 +302,21 @@ class SlotScoreStats:
 
 
 def score_trend(model: LinearModel, dataset: Dataset, config: DriftConfig,
-                class_label: int = 1) -> list[SlotScoreStats]:
+                class_label: int = 1, *, view: SlotView | None = None) -> list[SlotScoreStats]:
     """Per-slot score statistics (mean/std/min/max) for one class.
 
     std is the population standard deviation. Slots with no samples of the
-    class are emitted with count 0 and None statistics.
+    class are emitted with count 0 and None statistics. ``view``, when given,
+    is ``SlotView.build(dataset, config).scored(model, dataset)`` computed
+    once by the caller.
     """
-    layout = slot_layout(dataset, config)
-    s = score_dataset(model, dataset)
-    mask = dataset.labels == class_label
+    if class_label not in (0, 1):
+        raise DataError(f"class_label must be 0 or 1, got {class_label}")
+    if view is None:
+        view = SlotView.build(dataset, config).scored(model, dataset)
     out = []
-    for k, (start, end) in enumerate(layout.bounds):
-        sel = s[mask & (layout.slot_ids == k)]
+    for k, (start, end) in enumerate(view.layout.bounds):
+        sel = view.group(k, class_label)
         if sel.size == 0:
             out.append(SlotScoreStats(k, start, end, 0, None, None, None, None))
         else:

@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import DataError, Dataset, LinearModel, check_bound, score_dataset
-from .drift import DriftConfig, fit_slope, slot_layout
+from .drift import DriftConfig, SlotView, fit_slope
 
 
 @dataclass(frozen=True)
@@ -58,48 +58,9 @@ class SlotMetrics:
     pauc: float | None = None
 
 
-def _confusion_for_slot(labels: np.ndarray, preds: np.ndarray) -> tuple[int, int, int, int]:
-    tp = int(np.sum((labels == 1) & (preds == 1)))
-    fp = int(np.sum((labels == 0) & (preds == 1)))
-    fn = int(np.sum((labels == 1) & (preds == 0)))
-    tn = int(np.sum((labels == 0) & (preds == 0)))
-    return tp, fp, fn, tn
-
-
-def _slot_metrics(model: LinearModel, test: Dataset, config: DriftConfig,
-                  fpr_cap: float | None) -> list[SlotMetrics]:
-    """Per-slot confusion counts, plus partial AUC when fpr_cap is given.
-
-    The slot layout and the scores are computed once for all slots.
-    """
-    check_bound(model, test)
-    if test.n == 0:
-        raise DataError("cannot evaluate an empty dataset")
-    layout = slot_layout(test, config)
-    scores = score_dataset(model, test)
-    preds = (scores >= 0.0).astype(np.int8)
-    out = []
-    for k, (start, end) in enumerate(layout.bounds):
-        sel = layout.slot_ids == k
-        labels = test.labels[sel]
-        tp, fp, fn, tn = _confusion_for_slot(labels, preds[sel])
-        n_pos = tp + fn
-        n_neg = fp + tn
-        precision = tp / (tp + fp) if (tp + fp) > 0 else None
-        recall = tp / n_pos if n_pos > 0 else None
-        pauc = None
-        if fpr_cap is not None and n_pos and n_neg:
-            slot_scores = scores[sel]
-            pauc = _partial_auc_from_scores(slot_scores[labels == 1],
-                                            slot_scores[labels == 0], fpr_cap)
-        out.append(SlotMetrics(k, start, end, n_pos, n_neg, tp, fp, fn, tn,
-                               precision, recall, pauc))
-    return out
-
-
 def slot_confusion(model: LinearModel, test: Dataset, config: DriftConfig) -> list[SlotMetrics]:
     """Per-slot confusion counts, precision and recall on the test set."""
-    return _slot_metrics(model, test, config, None)
+    return evaluate_slots(model, test, config, None)
 
 
 def _roc_vertices(pos_scores: np.ndarray, neg_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +124,29 @@ def partial_auc(model: LinearModel, samples: Dataset, fpr_cap: float) -> float:
 
 
 def evaluate_slots(model: LinearModel, test: Dataset, config: DriftConfig,
-                   fpr_cap: float) -> list[SlotMetrics]:
-    """slot_confusion plus per-slot partial AUC (None for single-class slots)."""
-    return _slot_metrics(model, test, config, fpr_cap)
+                   fpr_cap: float | None, *, view: SlotView | None = None) -> list[SlotMetrics]:
+    """Per-slot confusion counts, precision and recall, plus partial AUC when
+    fpr_cap is given (None for single-class slots).
+
+    ``view``, when given, is ``SlotView.build(test, config).scored(model, test)``
+    computed once by the caller.
+    """
+    check_bound(model, test)
+    if view is None:  # an empty test set has no slots and fails here
+        view = SlotView.build(test, config).scored(model, test)
+    out = []
+    for k, (start, end) in enumerate(view.layout.bounds):
+        neg, pos = view.group(k, 0), view.group(k, 1)
+        n_pos, n_neg = len(pos), len(neg)
+        tp, fp = int(np.count_nonzero(pos >= 0.0)), int(np.count_nonzero(neg >= 0.0))
+        precision = tp / (tp + fp) if (tp + fp) > 0 else None
+        recall = tp / n_pos if n_pos > 0 else None
+        pauc = None
+        if fpr_cap is not None and n_pos and n_neg:
+            pauc = _partial_auc_from_scores(pos, neg, fpr_cap)
+        out.append(SlotMetrics(k, start, end, n_pos, n_neg, tp, fp, n_pos - tp, n_neg - fp,
+                               precision, recall, pauc))
+    return out
 
 
 def decay_slope(series: Iterable[tuple[int, float | None]]) -> float:

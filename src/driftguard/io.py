@@ -27,7 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DataError, Dataset, FeatureDictionary, LinearModel, SampleError
+from .core import (DataError, Dataset, FeatureDictionary, FeatureError, LinearModel,
+                   SampleError)
 from .drift import DriftReport, SlotScoreStats
 from .evaluation import SlotMetrics
 
@@ -185,11 +186,13 @@ def load_dataset(path: str) -> Dataset:
     try:
         return Dataset.from_arrays(FeatureDictionary(names), fields[0::4], timestamps, labels,
                                    np.cumsum(np.r_[0, lengths]), indices)
+    except FeatureError as exc:
+        feature_lines = [k for k, line in enumerate(lines, start=1)
+                         if line.startswith("#feature ")]
+        raise FileFormatError(path, feature_lines[exc.index], str(exc)) from None
     except SampleError as exc:
         lineno = [k for k, line in enumerate(lines, start=1) if _is_sample_line(line)][exc.row]
         raise FileFormatError(path, lineno, str(exc)) from None
-    except DataError as exc:
-        raise FileFormatError(path, len(lines), str(exc)) from None
 
 
 # --- models -----------------------------------------------------------------
@@ -299,6 +302,9 @@ def load_model(path: str, dictionary: FeatureDictionary | None = None
         raise FileFormatError(
             path, len(lines), f"dense encoding expects {d} weight lines, got {len(weights)}"
         )
+    if d >= 2**31:
+        raise FileFormatError(path, key_lines["d"],
+                              f"d={d} is too large: feature indices are int32, so d < 2**31")
     w = np.zeros(d, dtype=np.float64)
     seen = np.zeros(d, dtype=bool)
     for lineno, j, value in weights:

@@ -95,6 +95,36 @@ def test_compare_bundle(tmp_path, synth_files):
         dgio.load_model(os.path.join(out, f"{name}.model"), dictionary=ds.dictionary)
 
 
+def test_compare_lays_out_and_scores_each_side_once(tmp_path, synth_files, monkeypatch):
+    data, _ = synth_files
+    calls = {"slot_layout": 0, "scores": 0}
+    for module, name in ((driftguard.drift, "slot_layout"), (driftguard._kernels, "scores")):
+        original = getattr(module, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        # also where a module imported the function by name
+        for ns in (driftguard.drift, driftguard.evaluation, driftguard.core, driftguard._kernels):
+            if getattr(ns, name, None) is original:
+                monkeypatch.setattr(ns, name, counted)
+    assert run(["compare", "--dataset", data, "--out", str(tmp_path / "bundle"),
+                "--boundary", str(BASE_EPOCH + 3 * 2592000), "--nf", "10", *SLOT_ARGS,
+                "--iters", "5", "--no-provenance-timestamp"]) == 0
+    # one layout per dataset side; one score pass per model on the test side
+    assert calls == {"slot_layout": 2, "scores": 3}
+
+
+def test_compare_bad_slot_config_exits_before_training(tmp_path, synth_files, capsys):
+    data, _ = synth_files
+    out = str(tmp_path / "bundle")
+    assert run(["compare", "--dataset", data, "--out", out,
+                "--boundary", str(BASE_EPOCH + 3 * 2592000), "--nf", "10", "--slot-mode",
+                "fixed", "--dt-seconds", "10", *FAST_TRAIN, "--no-provenance-timestamp"]) == 2
+    assert "at most 119988" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_flag_exits_one_without_writing(tmp_path, capsys):
     out = str(tmp_path / "x.dg")
     code = run(["synth", "--out", out, "--bogus-flag", "1"])

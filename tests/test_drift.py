@@ -29,6 +29,20 @@ def test_slot_count_ceiling():
     assert slot_count(ds, DriftConfig(slot_mode="fixed", dt_seconds=3)) == 4
 
 
+def test_slot_count_fixed_mode_is_capped():
+    # checked before any per-slot allocation: 2**40 one-second slots would never finish
+    ds = binary_dataset([[0], [0]], [1, 0], timestamps=[0, 2**40])
+    with pytest.raises(DataError, match=r"1099511627776 slots; at most 119988"):
+        slot_count(ds, DriftConfig(slot_mode="fixed", dt_seconds=1))
+    ds = binary_dataset([[0], [0]], [1, 0], timestamps=[0, 119988])
+    assert slot_count(ds, DriftConfig(slot_mode="fixed", dt_seconds=1)) == 119988
+    # any span of int64 epochs, with any window, puts every sample in a slot
+    ds = binary_dataset([[0], [0], [0]], [1, 0, 1], timestamps=[-2**63, 0, 2**63 - 1])
+    for dt, ids in ((2**62, [0, 2, 3]), (2**70, [0, 0, 0])):
+        layout = slot_layout(ds, DriftConfig(slot_mode="fixed", dt_seconds=dt))
+        assert layout.slot_ids.tolist() == ids
+
+
 def test_slot_count_calendar_months():
     # oracle: enumerate (year, month) pairs between the extremes inclusive
     t0, t1 = _utc(2014, 1, 15), _utc(2014, 3, 2)

@@ -1,11 +1,13 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
 import driftguard as dg
 from driftguard.core import DataError
-from driftguard.drift import DriftConfig
-from driftguard.evaluation import (SplitSpec, _partial_auc_from_scores, decay_slope,
-                                   evaluate_slots, partial_auc, slot_confusion,
+from driftguard.drift import DriftConfig, SlotScoreStats, SlotView, score_trend, slot_layout
+from driftguard.evaluation import (SlotMetrics, SplitSpec, _partial_auc_from_scores,
+                                   decay_slope, evaluate_slots, partial_auc, slot_confusion,
                                    temporal_split)
 
 from conftest import binary_dataset, random_dataset, random_model
@@ -84,6 +86,90 @@ def test_slot_confusion_matches_per_sample_loop():
                 tn += s.label == 0 and pred == 0
             assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
             assert m.tp + m.fp + m.fn + m.tn == m.n_pos + m.n_neg
+
+
+# --- one slot view against per-slot masks ----------------------------------------------
+
+def _utc(y, m, d):
+    return int(datetime(y, m, d, tzinfo=timezone.utc).timestamp())
+
+
+# month boundaries with gaps between them, so some slots are empty
+EDGES = np.array([_utc(2013, 12, 1), _utc(2014, 1, 1), _utc(2014, 3, 1),
+                  _utc(2014, 6, 1), _utc(2015, 1, 1)])
+
+
+def _edge_dataset(rng, n):
+    """Samples within a second of a month boundary; January 2014 holds only
+    positives and May/June 2014 only negatives."""
+    which = rng.integers(0, len(EDGES), n)
+    timestamps = EDGES[which] + rng.integers(-1, 2, n)
+    labels = rng.integers(0, 2, n)
+    labels[(which == 1) & (timestamps >= EDGES[1])] = 1
+    labels[which == 3] = 0
+    index_lists = [np.flatnonzero(rng.random(6) < 0.4).tolist() for _ in range(n)]
+    return binary_dataset(index_lists, labels.tolist(), timestamps.tolist(), d=6)
+
+
+def _mask_reference(model, ds, cfg, fpr_cap):
+    """Per-slot metrics and per-class trends from full-length slot masks."""
+    layout = slot_layout(ds, cfg)
+    scores = dg.score_dataset(model, ds)
+    metrics, trends = [], {0: [], 1: []}
+    for k, (start, end) in enumerate(layout.bounds):
+        in_slot = layout.slot_ids == k
+        pos, neg = scores[in_slot & (ds.labels == 1)], scores[in_slot & (ds.labels == 0)]
+        tp, fp = int(np.sum(pos >= 0.0)), int(np.sum(neg >= 0.0))
+        pauc = _partial_auc_from_scores(pos, neg, fpr_cap) if pos.size and neg.size else None
+        metrics.append(SlotMetrics(k, start, end, pos.size, neg.size, tp, fp,
+                                   pos.size - tp, neg.size - fp,
+                                   tp / (tp + fp) if tp + fp else None,
+                                   tp / pos.size if pos.size else None, pauc))
+        for label, sel in ((0, neg), (1, pos)):
+            stats = ((float(sel.mean()), float(sel.std()), float(sel.min()), float(sel.max()))
+                     if sel.size else (None,) * 4)
+            trends[label].append(SlotScoreStats(k, start, end, int(sel.size), *stats))
+    return metrics, trends
+
+
+@pytest.mark.parametrize("cfg", [DriftConfig(slot_mode="month"),
+                                 DriftConfig(slot_mode="fixed", dt_seconds=17 * 86400),
+                                 DriftConfig(slot_mode="fixed", dt_seconds=400 * 86400)],
+                         ids=["month", "fixed-17d", "fixed-400d"])
+def test_slot_view_matches_mask_reference(cfg):
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 40, 1500):
+        ds = _edge_dataset(rng, n)
+        # integer weights put scores exactly on the threshold and tie them
+        for w, b in ((rng.integers(-2, 3, ds.d), float(rng.integers(-1, 2))),
+                     (rng.normal(0.0, 1.0, ds.d), float(rng.normal()))):
+            model = dg.LinearModel.for_dictionary(w, b, ds.dictionary)
+            metrics, trends = _mask_reference(model, ds, cfg, 0.3)
+            view = SlotView.build(ds, cfg).scored(model, ds)
+            for given in (None, view):
+                assert evaluate_slots(model, ds, cfg, 0.3, view=given) == metrics
+                for label in (0, 1):
+                    assert score_trend(model, ds, cfg, label, view=given) == trends[label]
+            assert slot_confusion(model, ds, cfg) == [
+                SlotMetrics(**{**vars(m), "pauc": None}) for m in metrics]
+
+
+def test_slot_view_groups_keep_file_order():
+    # slots [1, 0, 1, 0, 1], scores [1, 2, 3, 2, 1]
+    ds = binary_dataset([[0], [1], [0, 1], [1], [0]], [1, 0, 1, 1, 0],
+                        timestamps=[10, 0, 11, 1, 12], d=2)
+    model = dg.LinearModel.for_dictionary([1.0, 2.0], 0.0, ds.dictionary)
+    view = SlotView.build(ds, DriftConfig(slot_mode="fixed", dt_seconds=10)).scored(model, ds)
+    assert view.order.tolist() == [1, 3, 4, 0, 2]
+    assert view.cuts.tolist() == [0, 1, 2, 3, 5]
+    assert view.group(0, 0).tolist() == [2.0] and view.group(0, 1).tolist() == [2.0]
+    assert view.group(1, 0).tolist() == [1.0] and view.group(1, 1).tolist() == [1.0, 3.0]
+    with pytest.raises(DataError, match="does not fit"):
+        view.scored(model, ds.subset([True] * 4 + [False]))
+    with pytest.raises(DataError, match="class_label"):
+        score_trend(model, ds, DriftConfig(slot_mode="fixed", dt_seconds=10), 2)
+    with pytest.raises(DataError, match="empty"):
+        evaluate_slots(model, ds.subset([False] * 5), DriftConfig(), 0.5)
 
 
 # --- partial AUC -----------------------------------------------------------------------

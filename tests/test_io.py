@@ -98,6 +98,14 @@ def test_dataset_malformed_record_names_line(tmp_path):
             fh.write(head + body)
         with pytest.raises(dgio.FileFormatError, match=message):
             dgio.load_dataset(path)
+    # a bad feature name is reported at its own #feature line
+    for names, message in ((("a", "a"), r"trunc\.dg:3: duplicate feature name 'a'"),
+                           (("a\tx", "b"), r"trunc\.dg:2: feature 0: name must be nonempty")):
+        with open(path, "w") as fh:
+            fh.write(f"#driftguard-dataset v1 d=2\n#feature 0 {names[0]}\n"
+                     f"#feature 1 {names[1]}\n# note\ns0\t5\t1\t0\n")
+        with pytest.raises(dgio.FileFormatError, match=message):
+            dgio.load_dataset(path)
     with open(path, "wb") as fh:
         fh.write(head.encode() + b"s0\t5\t1\t0\ns\xff1\t6\t0\t1\n")
     with pytest.raises(dgio.FileFormatError, match=r"trunc\.dg:5: not valid UTF-8"):
@@ -229,6 +237,9 @@ def test_model_version_and_weight_errors(tmp_path):
         (header.format(2, "x") + "bias=1.0\n", r"bad\.model:6: duplicate bias= line"),
         (header.format(2**62, "x").replace("sparse", "dense"),
          r"bad\.model:5: dense encoding expects \d+ weight lines, got 0"),
+        # no dataset can bind to d >= 2**31, so it is refused before allocating
+        (header.format(2**62, "x"), r"bad\.model:2: d=4611686018427387904 is too large"),
+        (header.format(2**31, "x"), r"bad\.model:2: d=2147483648 is too large"),
     ]
     for text, message in cases:
         with open(path, "w") as fh:
