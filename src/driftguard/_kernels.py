@@ -36,14 +36,17 @@ def scores(indptr: np.ndarray, indices: np.ndarray,
 
 
 def hinge_grad(indptr: np.ndarray, indices: np.ndarray, y_signed: np.ndarray,
-               weights: np.ndarray, bias: float):
+               weights: np.ndarray, bias: float, row_ids: np.ndarray | None = None):
     """Subgradient of the summed hinge loss plus the loss itself.
 
     Returns (grad_w, grad_b, hinge_total). Samples at margin exactly 1
-    contribute nothing (the conventional zero subgradient).
+    contribute nothing (the conventional zero subgradient). ``row_ids``,
+    when given, must equal ``_row_ids(indptr)``; a caller that takes many
+    steps on one split builds it once.
     """
     d = weights.shape[0]
-    row_ids = _row_ids(indptr)
+    if row_ids is None:
+        row_ids = _row_ids(indptr)
     margins = y_signed * _scores(indptr, indices, weights, bias, row_ids)
     viol = margins < 1.0
     hinge_total = float(np.sum(1.0 - margins[viol]))

@@ -19,7 +19,8 @@ from . import __version__, _kernels
 from . import io as dgio
 from .core import DataError, NumericError
 from .drift import DriftConfig, SlotView, score_trend, t_stability
-from .evaluation import SlotMetrics, SplitSpec, decay_slope, evaluate_slots, temporal_split
+from .evaluation import (SlotMetrics, SplitSpec, check_fpr_cap, decay_slope, evaluate_slots,
+                         temporal_split)
 from .synth import SynthSpec, generate, save_ground_truth
 from .trainer import CbConfig, TrainConfig, train_svm, train_svm_cb
 
@@ -206,8 +207,9 @@ def _cmd_drift(args) -> int:
 def _cmd_train_cb(args) -> int:
     dataset = dgio.load_dataset(args.dataset)
     reference, _ = dgio.load_model(args.model, dictionary=dataset.dictionary)
-    report = t_stability(reference, dataset, _drift_config(args))
     config = CbConfig(base=_train_config(args, 0.0), n_f=args.nf, bound=args.bound)
+    config.check_feature_count(dataset.d)
+    report = t_stability(reference, dataset, _drift_config(args))
     model, bounded = train_svm_cb(dataset, report.delta, config)
     dgio.save_model(args.out, model, bounded=bounded,
                     config={**vars(config.base), "n_f": config.n_f, "bound": config.bound},
@@ -238,7 +240,14 @@ def _cmd_compare(args) -> int:
     dataset = dgio.load_dataset(args.dataset)
     train_set, test_set = temporal_split(dataset, SplitSpec(args.boundary))
     slot_config = _drift_config(args)
-    test_view = SlotView.build(test_set, slot_config)  # a bad slot config fails before training
+    # bad flags and a bad slot config fail before any training or output
+    test_view = SlotView.build(test_set, slot_config)
+    check_fpr_cap(args.fpr_cap)
+    cb_base = _train_config(args, 0.0)
+    cb_configs = [(name, CbConfig(base=cb_base, n_f=args.nf, bound=bound))
+                  for name, bound in (("cb_h", BOUND_HIGH), ("cb_l", BOUND_LOW))]
+    for _, config in cb_configs:
+        config.check_feature_count(train_set.d)
     prov = _provenance(args)
     os.makedirs(args.out, exist_ok=True)
 
@@ -246,12 +255,9 @@ def _cmd_compare(args) -> int:
     report = t_stability(baseline, train_set, slot_config)
     dgio.save_drift_report(os.path.join(args.out, "drift.csv"), report, provenance=prov)
 
-    cb_base = _train_config(args, 0.0)
     models = [("svm", baseline, None)]
-    for name, bound in (("cb_h", BOUND_HIGH), ("cb_l", BOUND_LOW)):
-        model, bounded = train_svm_cb(
-            train_set, report.delta, CbConfig(base=cb_base, n_f=args.nf, bound=bound)
-        )
+    for name, config in cb_configs:
+        model, bounded = train_svm_cb(train_set, report.delta, config)
         models.append((name, model, bounded))
 
     summary_models = {}

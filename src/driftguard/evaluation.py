@@ -86,27 +86,31 @@ def _roc_vertices(pos_scores: np.ndarray, neg_scores: np.ndarray) -> tuple[np.nd
     return fpr, tpr
 
 
+def check_fpr_cap(fpr_cap: float) -> None:
+    """Raise DataError unless fpr_cap is in (0, 1]."""
+    if not 0.0 < fpr_cap <= 1.0:
+        raise DataError(f"fpr_cap must be in (0, 1], got {fpr_cap}")
+
+
 def _partial_auc_from_scores(pos_scores: np.ndarray, neg_scores: np.ndarray,
                              fpr_cap: float) -> float:
     """Trapezoidal area under the ROC up to fpr_cap, normalized by fpr_cap."""
-    if not 0.0 < fpr_cap <= 1.0:
-        raise DataError(f"fpr_cap must be in (0, 1], got {fpr_cap}")
+    check_fpr_cap(fpr_cap)
     if len(pos_scores) == 0 or len(neg_scores) == 0:
         raise DataError("partial AUC requires samples from both classes")
     fpr, tpr = _roc_vertices(np.asarray(pos_scores, float), np.asarray(neg_scores, float))
-    area = 0.0
-    for i in range(1, len(fpr)):
-        x0, y0, x1, y1 = fpr[i - 1], tpr[i - 1], fpr[i], tpr[i]
-        if x0 >= fpr_cap:
-            break
-        if x1 <= x0:
-            continue
-        if x1 > fpr_cap:
-            y1 = y0 + (y1 - y0) * (fpr_cap - x0) / (x1 - x0)
-            x1 = fpr_cap
-        area += 0.5 * (y0 + y1) * (x1 - x0)
-        if x1 >= fpr_cap:
-            break
+    # fpr runs from 0 to 1 without decreasing, so fpr[k - 1] < fpr_cap <= fpr[k]:
+    # segments 1..k-1 lie wholly below the cap, and segment k is the last one.
+    k = int(np.searchsorted(fpr, fpr_cap))
+    x0, y0, x1, y1 = fpr[k - 1], tpr[k - 1], fpr[k], tpr[k]
+    if x1 > fpr_cap:
+        y1 = y0 + (y1 - y0) * (fpr_cap - x0) / (x1 - x0)
+        x1 = fpr_cap
+    last = 0.5 * (y0 + y1) * (x1 - x0)
+    widths = fpr[1:k] - fpr[:k - 1]
+    terms = (0.5 * (tpr[:k - 1] + tpr[1:k]) * widths)[widths > 0]
+    # cumsum adds left to right, so the area is summed in vertex order
+    area = np.cumsum(np.append(terms, last))[-1]
     return area / fpr_cap
 
 

@@ -11,6 +11,10 @@ Both start from (w, b) = (0, 0), run N full-batch steps with step size
 eta0 * s(t), and are bit-for-bit deterministic for a given config and
 kernel backend. Labels are stored as {0, 1} and mapped to {-1, +1}
 internally for the hinge.
+
+Only the columns that occur in the training split are descended. A column
+that never occurs has a zero gradient at every step, so its weight stays
+exactly 0; the returned weight vector still has all d entries.
 """
 
 from __future__ import annotations
@@ -71,6 +75,11 @@ class CbConfig:
             raise DataError(f"n_f must be >= 0, got {self.n_f}")
         if not self.bound > 0:
             raise DataError(f"bound must be > 0, got {self.bound}")
+
+    def check_feature_count(self, d: int) -> None:
+        """Raise DataError when n_f exceeds the feature count d."""
+        if self.n_f > d:
+            raise DataError(f"n_f={self.n_f} exceeds feature count d={d}")
 
 
 def schedule_value(schedule: str, t: int, n_iterations: int) -> float:
@@ -136,30 +145,46 @@ def _descend(dataset: Dataset, iterations: int, eta0: float, schedule: str,
 
     When loss_out is a list, the objective value at the parameters entering
     each iteration is appended (N entries).
+
+    The per-split work is done once, before the loop: the row ids, and the
+    column ids remapped (as intp) onto the columns that occur in the split.
+    A column that never occurs gets a zero gradient at every step, so its
+    weight stays exactly 0 (also under L2 and clipping); the loop runs on
+    the observed columns only and scatters w back to length d at the end.
+    Every weight sum adds the same terms in the same order, so w and b are
+    bit-identical to a loop over all d columns.
     """
     d = dataset.d
-    w = np.zeros(d, dtype=np.float64)
+    indptr, y_signed = dataset.indptr, dataset.y_signed
+    row_ids = _kernels._row_ids(indptr)
+    observed = np.bincount(dataset.indices, minlength=d) > 0
+    position = np.cumsum(observed) - 1  # compacted position of each observed column
+    cols = position[dataset.indices]
+    if clip_indices is not None:  # a bounded column that never occurs stays 0 unclipped
+        clip_indices = position[clip_indices[observed[clip_indices]]]
+    w = np.zeros(int(np.count_nonzero(observed)), dtype=np.float64)
     b = 0.0
     for t in range(1, iterations + 1):
         eta = eta0 * schedule_value(schedule, t, iterations)
-        grad_w, grad_b, hinge_total = _kernels.hinge_grad(
-            dataset.indptr, dataset.indices, dataset.y_signed, w, b
-        )
+        grad_w, grad_b, hinge_total = _kernels.hinge_grad(indptr, cols, y_signed, w, b, row_ids)
         loss = hinge_total
         if l2_lambda:
             loss += 0.5 * l2_lambda * float(np.dot(w, w))
-            grad_w = grad_w + l2_lambda * w
+            grad_w += l2_lambda * w
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at iteration {t}")
         if loss_out is not None:
             loss_out.append(loss)
-        w -= eta * grad_w
+        grad_w *= eta
+        w -= grad_w
         b -= eta * grad_b
         if clip_indices is not None and clip_indices.size:
             w[clip_indices] = np.clip(w[clip_indices], -clip_r, clip_r)
-    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
+    weights = np.zeros(d, dtype=np.float64)
+    weights[observed] = w
+    if not (np.all(np.isfinite(weights)) and math.isfinite(b)):
         raise NumericError("non-finite parameters after training")
-    return w, b
+    return weights, b
 
 
 def train_svm(dataset: Dataset, config: TrainConfig,
@@ -187,12 +212,11 @@ def train_svm_cb(dataset: Dataset, delta: np.ndarray, config: CbConfig,
         raise DataError(
             f"stability vector length {delta.shape} does not match d={dataset.d}"
         )
-    if config.n_f > dataset.d:
-        raise DataError(f"n_f={config.n_f} exceeds feature count d={dataset.d}")
+    config.check_feature_count(dataset.d)
     order = np.argsort(delta, kind="stable")
     bounded = order[:config.n_f].copy()
     base = config.base
     w, b = _descend(dataset, base.iterations, base.eta0, base.schedule,
-                    0.0, bounded if bounded.size else None, config.bound, loss_out)
+                    0.0, bounded, config.bound, loss_out)
     model = LinearModel(w, b, dataset.dictionary.fingerprint)
     return model, bounded

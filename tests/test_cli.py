@@ -125,6 +125,21 @@ def test_compare_bad_slot_config_exits_before_training(tmp_path, synth_files, ca
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--nf", "500"], "n_f=500 exceeds feature count d=60"),
+    (["--nf", "-1"], "n_f must be >= 0, got -1"),
+    (["--nf", "10", "--fpr-cap", "0"], "fpr_cap must be in (0, 1], got 0.0"),
+], ids=["nf-above-d", "nf-negative", "fpr-cap-zero"])
+def test_compare_bad_flag_exits_before_training(tmp_path, synth_files, capsys, flags, message):
+    data, _ = synth_files
+    out = str(tmp_path / "bundle")
+    assert run(["compare", "--dataset", data, "--out", out,
+                "--boundary", str(BASE_EPOCH + 3 * 2592000), *flags, *SLOT_ARGS,
+                *FAST_TRAIN, "--no-provenance-timestamp"]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)  # so no drift.csv and no model
+
+
 def test_unknown_flag_exits_one_without_writing(tmp_path, capsys):
     out = str(tmp_path / "x.dg")
     code = run(["synth", "--out", out, "--bogus-flag", "1"])

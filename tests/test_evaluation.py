@@ -7,7 +7,7 @@ import driftguard as dg
 from driftguard.core import DataError
 from driftguard.drift import DriftConfig, SlotScoreStats, SlotView, score_trend, slot_layout
 from driftguard.evaluation import (SlotMetrics, SplitSpec, _partial_auc_from_scores,
-                                   decay_slope, evaluate_slots, partial_auc, slot_confusion,
+                                   _roc_vertices, decay_slope, evaluate_slots, partial_auc, slot_confusion,
                                    temporal_split)
 
 from conftest import binary_dataset, random_dataset, random_model
@@ -183,6 +183,45 @@ def _pairwise_auc(pos, neg):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def _pauc_loop(pos, neg, fpr_cap):
+    """The vertex-by-vertex trapezoid loop: the reference for the vectorized sum."""
+    fpr, tpr = _roc_vertices(np.asarray(pos, float), np.asarray(neg, float))
+    area = 0.0
+    for i in range(1, len(fpr)):
+        x0, y0, x1, y1 = fpr[i - 1], tpr[i - 1], fpr[i], tpr[i]
+        if x0 >= fpr_cap:
+            break
+        if x1 <= x0:
+            continue
+        if x1 > fpr_cap:
+            y1 = y0 + (y1 - y0) * (fpr_cap - x0) / (x1 - x0)
+            x1 = fpr_cap
+        area += 0.5 * (y0 + y1) * (x1 - x0)
+        if x1 >= fpr_cap:
+            break
+    return area / fpr_cap
+
+
+def test_partial_auc_sums_like_the_vertex_loop():
+    rng = np.random.default_rng(61)
+    for case in range(3000):
+        n_pos, n_neg = (int(v) for v in rng.integers(1, 60, size=2))
+        if case % 3 == 0:  # heavy ties on a small integer grid
+            pos = rng.integers(0, 4, n_pos).astype(float)
+            neg = rng.integers(0, 4, n_neg).astype(float)
+        else:
+            pos = rng.normal(0.5, 1.0, n_pos)
+            neg = rng.normal(-0.5, 1.0, n_neg)
+        kind = case % 4
+        if kind == 0:
+            cap = 1.0
+        elif kind == 1:  # lands on an fpr vertex
+            cap = int(rng.integers(1, n_neg + 1)) / n_neg
+        else:
+            cap = float(rng.uniform(1e-3, 1.0))
+        assert _partial_auc_from_scores(pos, neg, cap) == _pauc_loop(pos, neg, cap)
 
 
 def test_perfect_separator_is_one_at_any_cap():

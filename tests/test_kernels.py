@@ -68,6 +68,19 @@ def test_kernels_match_brute_force():
         assert np.array_equal(counts, dense_counts)
 
 
+def test_hinge_grad_with_prebuilt_row_ids_is_identical():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        dataset = random_dataset(rng, int(rng.integers(2, 50)), int(rng.integers(1, 30)),
+                                 density=float(rng.uniform(0.0, 0.6)))
+        w = rng.normal(size=dataset.d)
+        b = float(rng.normal())
+        args = (dataset.indptr, dataset.indices, dataset.y_signed, w, b)
+        gw, gb, total = _kernels.hinge_grad(*args)
+        rgw, rgb, rtotal = _kernels.hinge_grad(*args, row_ids=_kernels._row_ids(dataset.indptr))
+        assert np.array_equal(gw, rgw) and gb == rgb and total == rtotal
+
+
 def test_empty_dataset_kernels():
     indptr = np.zeros(1, dtype=np.int64)
     indices = np.zeros(0, dtype=np.int32)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import driftguard as dg
+from driftguard import _kernels
 from driftguard.core import DataError
 from driftguard.trainer import CbConfig, TrainConfig, schedule_value
 
@@ -197,6 +198,54 @@ def test_degenerate_single_class_dataset_rejected():
     ds = binary_dataset([[0], [1]], [1, 1])
     with pytest.raises(DataError, match="degenerate training set"):
         dg.train_svm(ds, TrainConfig(iterations=5))
+
+
+def _descend_all_columns(ds, config, l2_lambda, clip_indices, clip_r):
+    """The descent loop over all d columns, row ids rebuilt every step: the
+    reference that the trainer's compacted loop must match bit for bit."""
+    w = np.zeros(ds.d, dtype=np.float64)
+    b = 0.0
+    for t in range(1, config.iterations + 1):
+        eta = config.eta0 * schedule_value(config.schedule, t, config.iterations)
+        grad_w, grad_b, _ = _kernels.hinge_grad(ds.indptr, ds.indices, ds.y_signed, w, b)
+        if l2_lambda:
+            grad_w = grad_w + l2_lambda * w
+        w -= eta * grad_w
+        b -= eta * grad_b
+        if clip_indices is not None and clip_indices.size:
+            w[clip_indices] = np.clip(w[clip_indices], -clip_r, clip_r)
+    return w, b
+
+
+@pytest.mark.parametrize("case", ["unobserved-columns", "all-observed", "empty-sample"])
+def test_compacted_descent_matches_all_column_loop(case):
+    rng = np.random.default_rng(53)
+    if case == "all-observed":
+        ds = random_dataset(rng, 70, 12, density=0.5)
+    else:
+        # 40 columns, of which only the even ones below 30 and, in one sample, 33 occur
+        index_lists = [list(np.flatnonzero(rng.random(15) < 0.3) * 2) for _ in range(70)]
+        index_lists[7].append(33)
+        if case == "empty-sample":
+            index_lists[5] = []
+        labels = [int(v) for v in rng.integers(0, 2, 70)]
+        labels[0], labels[1] = 0, 1
+        ds = binary_dataset(index_lists, labels, d=40)
+    observed = np.unique(ds.indices)
+    assert (observed.size == ds.d) == (case == "all-observed")
+    base = TrainConfig(iterations=60, eta0=0.02, schedule="cosine", l2_lambda=0.7)
+    model = dg.train_svm(ds, base)
+    w, b = _descend_all_columns(ds, base, base.l2_lambda, None, 0.0)
+    assert np.array_equal(model.weights, w) and model.bias == b
+    assert not np.any(np.delete(model.weights, observed))
+    # bounded set mixes observed and (outside all-observed) never-occurring columns
+    delta = rng.normal(size=ds.d)
+    cb_base = TrainConfig(iterations=60, eta0=0.02, schedule="cosine", l2_lambda=0.0)
+    for n_f in (0, 5, ds.d // 2, ds.d):
+        cb, bounded = dg.train_svm_cb(ds, delta, CbConfig(base=cb_base, n_f=n_f, bound=0.05))
+        w, b = _descend_all_columns(ds, cb_base, 0.0, bounded, 0.05)
+        assert np.array_equal(cb.weights, w) and cb.bias == b
+        assert bounded.tolist() == np.argsort(delta, kind="stable")[:n_f].tolist()
 
 
 def test_determinism_bitwise():
