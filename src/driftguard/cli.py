@@ -218,6 +218,7 @@ def _cmd_train_cb(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check_fpr_cap(args.fpr_cap)  # a bad cap fails before any loading or output
     dataset = dgio.load_dataset(args.dataset)
     model, _ = dgio.load_model(args.model, dictionary=dataset.dictionary)
     metrics = evaluate_slots(model, dataset, _drift_config(args), args.fpr_cap)

@@ -15,6 +15,13 @@ internally for the hinge.
 Only the columns that occur in the training split are descended. A column
 that never occurs has a zero gradient at every step, so its weight stays
 exactly 0; the returned weight vector still has all d entries.
+
+Each training builds one ``_kernels.HingeState`` for its split. It sums the
+rows rank-major, each row still in CSR order, and keeps the hinge gradient
+as integer counts updated only where the violator set changed; both are
+exact, so w and b equal a fresh ``bincount`` pass per step bit for bit. The
+recorded loss (``loss_out``) sums the hinge terms in rank-major order and
+may differ from an in-order sum in its last bits.
 """
 
 from __future__ import annotations
@@ -146,17 +153,22 @@ def _descend(dataset: Dataset, iterations: int, eta0: float, schedule: str,
     When loss_out is a list, the objective value at the parameters entering
     each iteration is appended (N entries).
 
-    The per-split work is done once, before the loop: the row ids, and the
-    column ids remapped (as intp) onto the columns that occur in the split.
-    A column that never occurs gets a zero gradient at every step, so its
-    weight stays exactly 0 (also under L2 and clipping); the loop runs on
-    the observed columns only and scatters w back to length d at the end.
-    Every weight sum adds the same terms in the same order, so w and b are
-    bit-identical to a loop over all d columns.
+    The per-split work is done once, before the loop: the column ids
+    remapped (as intp) onto the columns that occur in the split, and the
+    kernel's ``HingeState``. A column that never occurs gets a zero gradient
+    at every step, so its weight stays exactly 0 (also under L2 and
+    clipping); the loop runs on the observed columns only and scatters w
+    back to length d at the end. The state sums the rows one entry rank at a
+    time, each row in CSR order, and keeps the hinge gradient as integer
+    counts updated only for the rows whose violator status flipped. Both are
+    exact, so every score and gradient equals a fresh ``bincount`` pass bit
+    for bit, and w and b are bit-identical to a loop over all d columns. The
+    step is built in its own buffer, because ``grad_w`` is the state's
+    counts. The hinge total, and so ``loss_out``, is summed in rank-major
+    order and may differ from an in-order sum in its last bits.
     """
     d = dataset.d
     indptr, y_signed = dataset.indptr, dataset.y_signed
-    row_ids = _kernels._row_ids(indptr)
     observed = np.bincount(dataset.indices, minlength=d) > 0
     position = np.cumsum(observed) - 1  # compacted position of each observed column
     cols = position[dataset.indices]
@@ -164,19 +176,24 @@ def _descend(dataset: Dataset, iterations: int, eta0: float, schedule: str,
         clip_indices = position[clip_indices[observed[clip_indices]]]
     w = np.zeros(int(np.count_nonzero(observed)), dtype=np.float64)
     b = 0.0
+    state = _kernels.HingeState(indptr, cols, y_signed, w.shape[0])
+    step = np.empty_like(w)
     for t in range(1, iterations + 1):
         eta = eta0 * schedule_value(schedule, t, iterations)
-        grad_w, grad_b, hinge_total = _kernels.hinge_grad(indptr, cols, y_signed, w, b, row_ids)
+        grad_w, grad_b, hinge_total = _kernels.hinge_grad(indptr, cols, y_signed, w, b, state)
         loss = hinge_total
         if l2_lambda:
             loss += 0.5 * l2_lambda * float(np.dot(w, w))
-            grad_w += l2_lambda * w
+            np.multiply(w, l2_lambda, out=step)
+            step += grad_w
+            step *= eta
+        else:
+            np.multiply(grad_w, eta, out=step)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at iteration {t}")
         if loss_out is not None:
             loss_out.append(loss)
-        grad_w *= eta
-        w -= grad_w
+        w -= step
         b -= eta * grad_b
         if clip_indices is not None and clip_indices.size:
             w[clip_indices] = np.clip(w[clip_indices], -clip_r, clip_r)

@@ -12,6 +12,8 @@ from driftguard import io as dgio
 from driftguard.cli import run
 from driftguard.synth import BASE_EPOCH
 
+from conftest import binary_dataset
+
 SYNTH_ARGS = ["synth", "--d", "60", "--n-per-slot", "80", "--n-slots", "6",
               "--stable-pos", "6", "--stable-neg", "6", "--drift-up", "5",
               "--drift-down", "5", "--base-p", "0.05", "--peak-p", "0.6",
@@ -138,6 +140,22 @@ def test_compare_bad_flag_exits_before_training(tmp_path, synth_files, capsys, f
                 *FAST_TRAIN, "--no-provenance-timestamp"]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)  # so no drift.csv and no model
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_eval_bad_fpr_cap_exits_before_loading(tmp_path, capsys, cap):
+    # no slot holds both classes, so no pAUC is computed that would check the cap
+    data = str(tmp_path / "pos.dg")
+    dataset = binary_dataset([[0], [1], [0, 1], []], [1, 1, 1, 1], d=2)
+    dgio.save_dataset(data, dataset)
+    model_path = str(tmp_path / "m.model")
+    dgio.save_model(model_path, driftguard.LinearModel.for_dictionary([0.5, -0.5], 0.0,
+                                                                      dataset.dictionary))
+    out = str(tmp_path / "eval.csv")
+    assert run(["eval", "--dataset", data, "--model", model_path, "--out", out,
+                "--fpr-cap", cap, *SLOT_ARGS, "--no-provenance-timestamp"]) == 2
+    assert f"fpr_cap must be in (0, 1], got {float(cap)}" in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(str(tmp_path / "eval.json"))
 
 
 def test_unknown_flag_exits_one_without_writing(tmp_path, capsys):

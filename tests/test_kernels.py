@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftguard import _kernels
 
@@ -68,17 +70,76 @@ def test_kernels_match_brute_force():
         assert np.array_equal(counts, dense_counts)
 
 
-def test_hinge_grad_with_prebuilt_row_ids_is_identical():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        dataset = random_dataset(rng, int(rng.integers(2, 50)), int(rng.integers(1, 30)),
-                                 density=float(rng.uniform(0.0, 0.6)))
-        w = rng.normal(size=dataset.d)
-        b = float(rng.normal())
-        args = (dataset.indptr, dataset.indices, dataset.y_signed, w, b)
-        gw, gb, total = _kernels.hinge_grad(*args)
-        rgw, rgb, rtotal = _kernels.hinge_grad(*args, row_ids=_kernels._row_ids(dataset.indptr))
-        assert np.array_equal(gw, rgw) and gb == rgb and total == rtotal
+def _oracle_hinge_grad(indptr, indices, y_signed, w, b):
+    """Per-row loops in CSR order over raw arrays."""
+    gw = np.zeros(w.shape[0])
+    gb = 0.0
+    for i, y in enumerate(y_signed):
+        cols = indices[indptr[i]:indptr[i + 1]]
+        score = 0.0
+        for j in cols:
+            score += w[j]
+        if y * (score + b) < 1.0:
+            gb -= y
+            for j in cols:
+                gw[j] -= y
+    return gw, gb
+
+
+@st.composite
+def descent_walks(draw):
+    """A CSR split and a random walk of (w, b) over it.
+
+    ``shape`` forces the edge cases: "empty" makes every row empty (with
+    d = 0 the split a trainer compacts to no columns), "equal" gives every
+    row the same entry count. Weight steps are drawn from a 0.25 grid, so
+    margins of exactly 1 occur and rows flip in and out of the violator set,
+    and from arbitrary floats, so the order of the additions shows in the
+    sums' last bits.
+    """
+    shape = draw(st.sampled_from(["mixed", "equal", "empty"]))
+    n = draw(st.integers(0, 24))
+    d = draw(st.integers(0, 10))
+    if shape == "empty" or d == 0:
+        rows = [[] for _ in range(n)]
+    elif shape == "equal":
+        k = draw(st.integers(1, d))
+        rows = [sorted(draw(st.sets(st.integers(0, d - 1), min_size=k, max_size=k)))
+                for _ in range(n)]
+    else:
+        rows = [sorted(draw(st.sets(st.integers(0, d - 1), max_size=d))) for _ in range(n)]
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    index_dtype = draw(st.sampled_from([np.int32, np.intp]))
+    indices = np.array([j for r in rows for j in r], dtype=index_dtype)
+    y_signed = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)),
+                        dtype=np.float64)
+    step = st.one_of(st.integers(-8, 8).map(lambda v: v * 0.25),
+                     st.floats(-2.0, 2.0, allow_nan=False))
+    w = np.zeros(d)
+    b = 0.0
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        w = w + np.array(draw(st.lists(step, min_size=d, max_size=d)), dtype=np.float64)
+        b += draw(step)
+        steps.append((w, b))
+    return indptr, indices, y_signed, d, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=descent_walks())
+def test_reused_state_matches_fresh_state_and_bincount_scores(walk):
+    indptr, indices, y_signed, d, steps = walk
+    state = _kernels.HingeState(indptr, indices, y_signed, d)
+    for w, b in steps:
+        gw, gb, total = _kernels.hinge_grad(indptr, indices, y_signed, w, b, state)
+        fgw, fgb, ftotal = _kernels.hinge_grad(indptr, indices, y_signed, w, b)
+        assert np.array_equal(gw, fgw) and gb == fgb and total == ftotal
+        ogw, ogb = _oracle_hinge_grad(indptr, indices, y_signed, w, b)
+        assert np.array_equal(gw, ogw) and gb == ogb
+        # the rank-major sums, in row order, are the bincount scores bit for bit
+        row_scores = np.empty(y_signed.shape[0])
+        row_scores[state.order] = state.row_sums(w) + b
+        assert row_scores.tobytes() == _kernels.scores(indptr, indices, w, b).tobytes()
 
 
 def test_empty_dataset_kernels():

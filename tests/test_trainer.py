@@ -248,6 +248,32 @@ def test_compacted_descent_matches_all_column_loop(case):
         assert bounded.tolist() == np.argsort(delta, kind="stable")[:n_f].tolist()
 
 
+@pytest.mark.parametrize("trainer", ["svm", "cb"])
+def test_descent_builds_one_state_and_calls_the_kernel_once_per_iteration(monkeypatch, trainer):
+    # perfbench counts kernels.hinge_grad calls through this module attribute
+    builds, states = [], []
+    real_state, real_grad = _kernels.HingeState, _kernels.hinge_grad
+
+    def counting_state(*args):
+        builds.append(args)
+        return real_state(*args)
+
+    def counting_grad(indptr, indices, y_signed, w, b, state):
+        states.append(state)
+        return real_grad(indptr, indices, y_signed, w, b, state)
+
+    monkeypatch.setattr(_kernels, "HingeState", counting_state)
+    monkeypatch.setattr(_kernels, "hinge_grad", counting_grad)
+    ds = random_dataset(np.random.default_rng(61), 30, 9)
+    config = TrainConfig(iterations=17, eta0=0.01, l2_lambda=0.5)
+    if trainer == "svm":
+        dg.train_svm(ds, config)
+    else:
+        dg.train_svm_cb(ds, np.zeros(ds.d), CbConfig(base=config, n_f=3, bound=0.1))
+    assert len(builds) == 1
+    assert len(states) == 17 and all(state is states[0] for state in states)
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(77)
     ds = random_dataset(rng, 50, 12)
