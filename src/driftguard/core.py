@@ -18,6 +18,12 @@ from numpy.dtypes import StringDType
 from . import _kernels
 
 _INT64 = np.iinfo(np.int64)
+# A tab and each character at which str.splitlines, and so the loader, ends a line.
+_LINE_SPLITTERS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _splits_line(text: str) -> bool:
+    return any(ch in text for ch in _LINE_SPLITTERS)
 
 
 class DataError(ValueError):
@@ -61,6 +67,9 @@ class FeatureDictionary:
             if name in index:
                 raise FeatureError(i, f"duplicate feature name {name!r}")
             index[name] = i
+        if _splits_line("".join(names)):  # one scan of all names; walk only on a hit
+            i = next(i for i, name in enumerate(names) if _splits_line(name))
+            raise FeatureError(i, f"feature {i}: name {names[i]!r} holds a line break")
         self._names = names
         self._index = index
         h = hashlib.sha256()
@@ -142,8 +151,11 @@ def _validated(d: int, ids, timestamps, labels, indptr, indices):
 
     Labels must be 0 or 1, each row's indices strictly increasing in [0, d)
     and ids unique. SampleError names the first offending sample; within it,
-    the check listed first wins.
+    the check listed first wins. Only then must ids hold no tab or line
+    break and not start with '#'.
     """
+    # one scan of all ids, whose joined text is freed before the arrays are built
+    ids_split = _splits_line("".join(map(str, ids)))
     ids = np.array(ids, dtype=StringDType())
     timestamps, indptr = np.array(timestamps, dtype=np.int64), np.array(indptr, dtype=np.int64)
     labels, indices = np.asarray(labels, dtype=np.int64), np.asarray(indices, dtype=np.int64)
@@ -160,7 +172,10 @@ def _validated(d: int, ids, timestamps, labels, indptr, indices):
         return np.searchsorted(indptr, k, side="right") - 1
 
     order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later copies of an id
+    ranked = ids[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]  # later copies of an id
+    hash_lo, hash_hi = np.searchsorted(ranked, ["#", "$"])  # ranked[lo:hi] start with '#'
+    del ranked  # a copy of every id; freed before the index checks allocate
     # (row, check rank, message) of each check's first offender; [:1] keeps at most one
     found = [(r, 0, f"label must be 0 or 1, got {labels[r]}")
              for r in np.flatnonzero((labels != 0) & (labels != 1))[:1]]
@@ -174,6 +189,11 @@ def _validated(d: int, ids, timestamps, labels, indptr, indices):
     if found:
         r, _, message = min(found)
         raise SampleError(int(r), f"sample {ids[r]}: {message}")
+    if ids_split or hash_hi > hash_lo:  # walk only on a hit
+        r = next(r for r, sid in enumerate(ids.tolist())
+                 if sid.startswith("#") or _splits_line(sid))
+        raise SampleError(r, f"sample {ids[r]!r}: id must not start with '#' or hold "
+                             "a tab or a line break")
     return ids, timestamps, labels.astype(np.int8), indptr, indices.astype(np.int32)
 
 

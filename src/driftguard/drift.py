@@ -170,10 +170,8 @@ def slot_means(dataset: Dataset, config: DriftConfig) -> SlotMeans:
         dataset.indptr, dataset.indices, layout.slot_ids, mask,
         dataset.d, layout.n_slots,
     )
-    matrix = np.zeros_like(sums)
-    filled = counts > 0
-    matrix[:, filled] = sums[:, filled] / counts[filled]
-    return SlotMeans(matrix=matrix, counts=counts, bounds=layout.bounds)
+    sums /= np.maximum(counts, 1)  # an empty slot's sums are all zero
+    return SlotMeans(matrix=sums, counts=counts, bounds=layout.bounds)
 
 
 class SlopeFit(NamedTuple):
@@ -230,20 +228,30 @@ class DriftRecord:
 
 @dataclass
 class DriftReport:
-    """Per-feature stability, sorted most-destabilizing first.
+    """Per-feature stability as index-aligned vectors, the only storage.
 
-    records are ordered by delta ascending, ties broken by feature index.
-    ``delta``, ``slopes`` and ``observed`` are index-aligned vectors for
-    programmatic use. Features never seen in the analyzed class carry
-    slope 0 (hence delta 0) and observed=False.
+    ``order`` ranks the features by delta ascending, ties broken by index,
+    most destabilizing first; ``records`` builds them as DriftRecord objects
+    on demand. Features never seen in the analyzed class carry slope 0
+    (hence delta 0) and observed=False.
     """
 
-    records: tuple[DriftRecord, ...]
-    delta: np.ndarray
+    weights: np.ndarray
     slopes: np.ndarray
+    delta: np.ndarray
     observed: np.ndarray
+    order: np.ndarray
+    names: tuple[str, ...]
     slot_counts: np.ndarray
     slot_bounds: tuple[tuple[int, int], ...]
+
+    @property
+    def records(self) -> tuple[DriftRecord, ...]:
+        """The ranking as DriftRecord objects, built anew on each access."""
+        columns = (arr[self.order].tolist()
+                   for arr in (self.weights, self.slopes, self.delta, self.observed))
+        return tuple(DriftRecord(j, self.names[j], *values)
+                     for j, *values in zip(self.order.tolist(), *columns))
 
 
 def stability_values(weights: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -262,26 +270,14 @@ def t_stability(model: LinearModel, dataset: Dataset, config: DriftConfig) -> Dr
     check_bound(model, dataset)
     means = slot_means(dataset, config)
     slopes, _ = _slopes_for_matrix(means.matrix, means.empty)
-    observed = means.matrix.max(axis=1) > 0.0
     delta = stability_values(model.weights, slopes)
-    names = dataset.dictionary.names
-    order = np.argsort(delta, kind="stable")
-    records = tuple(
-        DriftRecord(
-            index=int(j),
-            name=names[j],
-            weight=float(model.weights[j]),
-            slope=float(slopes[j]),
-            delta=float(delta[j]),
-            observed=bool(observed[j]),
-        )
-        for j in order
-    )
     return DriftReport(
-        records=records,
-        delta=delta,
+        weights=model.weights,
         slopes=slopes,
-        observed=observed,
+        delta=delta,
+        observed=means.matrix.max(axis=1) > 0.0,
+        order=np.argsort(delta, kind="stable"),
+        names=dataset.dictionary.names,
         slot_counts=means.counts,
         slot_bounds=means.bounds,
     )

@@ -23,7 +23,7 @@ import math
 import os
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,9 +48,10 @@ class FileFormatError(DataError):
 
 @contextmanager
 def _atomic_text(path: str):
-    """Write to <path>.tmp and rename into place; no partial files on error."""
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline="")
+    """Write to a temporary file of this write's own, created exclusively beside
+    path, then rename it onto path; on error remove it, leaving no partial file."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         yield fh
         fh.close()
@@ -66,10 +67,6 @@ def _comment_lines(provenance: Mapping | None) -> list[str]:
     if not provenance:
         return []
     return [f"# {key}={value}" for key, value in provenance.items()]
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 # --- datasets ---------------------------------------------------------------
@@ -205,27 +202,18 @@ def save_model(path: str, model: LinearModel, bounded: Sequence[int] | None = No
     run; ``config`` is echoed as config.<key>=<value> lines.
     """
     w = model.weights
-    n_zero = int(np.sum(w == 0.0))
-    sparse = n_zero * 2 > len(w)
+    sparse = int(np.sum(w == 0.0)) * 2 > len(w)
+    written = np.flatnonzero(w) if sparse else np.arange(len(w))
+    lines = [f"{MODEL_MAGIC} {FORMAT_VERSION}", *_comment_lines(provenance),
+             f"d={model.d}", f"bias={model.bias!r}",
+             f"fingerprint={model.dictionary_fingerprint}",
+             f"encoding={'sparse' if sparse else 'dense'}"]
+    if bounded is not None:
+        lines.append("bounded=" + ",".join(str(int(j)) for j in bounded))
+    lines += [f"config.{key}={value}" for key, value in (config or {}).items()]
+    lines += [f"w {j} {value!r}" for j, value in zip(written.tolist(), w[written].tolist())]
     with _atomic_text(path) as fh:
-        fh.write(f"{MODEL_MAGIC} {FORMAT_VERSION}\n")
-        for line in _comment_lines(provenance):
-            fh.write(line + "\n")
-        fh.write(f"d={model.d}\n")
-        fh.write(f"bias={_fmt(model.bias)}\n")
-        fh.write(f"fingerprint={model.dictionary_fingerprint}\n")
-        fh.write(f"encoding={'sparse' if sparse else 'dense'}\n")
-        if bounded is not None:
-            fh.write("bounded=" + ",".join(str(int(j)) for j in bounded) + "\n")
-        if config:
-            for key, value in config.items():
-                fh.write(f"config.{key}={value}\n")
-        if sparse:
-            for j in np.flatnonzero(w):
-                fh.write(f"w {j} {_fmt(w[j])}\n")
-        else:
-            for j in range(len(w)):
-                fh.write(f"w {j} {_fmt(w[j])}\n")
+        fh.write("".join(f"{line}\n" for line in lines))
 
 
 def load_model(path: str, dictionary: FeatureDictionary | None = None
@@ -328,22 +316,28 @@ TREND_COLUMNS = ("slot_id", "slot_start", "slot_end", "class", "count",
                  "mean", "std", "min", "max")
 
 
+def _write_csv(path: str, head_lines: Sequence[str], provenance: Mapping | None,
+               columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One CSV report: head comment lines, provenance comments, the column row, rows."""
+    with _atomic_text(path) as fh:
+        fh.write("".join(f"{line}\n" for line in [*head_lines, *_comment_lines(provenance)]))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def save_drift_report(path: str, report: DriftReport,
                       provenance: Mapping | None = None) -> None:
     """Stability table, most-destabilizing feature first."""
-    with _atomic_text(path) as fh:
-        fh.write("# driftguard-drift-report v1\n")
-        for line in _comment_lines(provenance):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DRIFT_COLUMNS)
-        for rank, rec in enumerate(report.records):
-            writer.writerow([rank, rec.index, rec.name,
-                             _fmt(rec.weight), _fmt(rec.slope), _fmt(rec.delta)])
+    order = report.order.tolist()
+    floats = (map(repr, arr[report.order].tolist())
+              for arr in (report.weights, report.slopes, report.delta))
+    _write_csv(path, ["# driftguard-drift-report v1"], provenance, DRIFT_COLUMNS,
+               zip(range(len(order)), order, map(report.names.__getitem__, order), *floats))
 
 
 def _opt(value: float | None) -> str:
-    return "" if value is None else _fmt(value)
+    return "" if value is None else repr(float(value))
 
 
 def save_eval_report(path: str, metrics: Sequence[SlotMetrics],
@@ -354,32 +348,20 @@ def save_eval_report(path: str, metrics: Sequence[SlotMetrics],
     The pauc column is normalized by the FPR cap, so 1.0 is perfect at any
     cap.
     """
-    with _atomic_text(path) as fh:
-        fh.write("# driftguard-eval-report v1\n")
-        fh.write("# pauc is normalized by the FPR cap: 1.0 = perfect at any cap\n")
-        for line in _comment_lines(provenance):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVAL_COLUMNS)
-        for m in metrics:
-            writer.writerow([m.slot, m.start, m.end, m.n_pos, m.n_neg,
-                             m.tp, m.fp, m.fn, m.tn,
-                             _opt(m.precision), _opt(m.recall), _opt(m.pauc)])
+    _write_csv(path, ["# driftguard-eval-report v1",
+                      "# pauc is normalized by the FPR cap: 1.0 = perfect at any cap"],
+               provenance, EVAL_COLUMNS,
+               ([m.slot, m.start, m.end, m.n_pos, m.n_neg, m.tp, m.fp, m.fn, m.tn,
+                 _opt(m.precision), _opt(m.recall), _opt(m.pauc)] for m in metrics))
 
 
 def save_score_trend(path: str, trends: Mapping[int, Sequence[SlotScoreStats]],
                      provenance: Mapping | None = None) -> None:
     """Per-slot score statistics, one row per (slot, class)."""
-    with _atomic_text(path) as fh:
-        fh.write("# driftguard-score-trend v1\n")
-        for line in _comment_lines(provenance):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TREND_COLUMNS)
-        for class_label in sorted(trends):
-            for st in trends[class_label]:
-                writer.writerow([st.slot, st.start, st.end, class_label, st.count,
-                                 _opt(st.mean), _opt(st.std), _opt(st.min), _opt(st.max)])
+    _write_csv(path, ["# driftguard-score-trend v1"], provenance, TREND_COLUMNS,
+               ([st.slot, st.start, st.end, class_label, st.count,
+                 _opt(st.mean), _opt(st.std), _opt(st.min), _opt(st.max)]
+                for class_label in sorted(trends) for st in trends[class_label]))
 
 
 def save_json(path: str, obj: Mapping) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .core import DataError, Dataset, FeatureDictionary
-from .io import _atomic_text
+from .io import save_json
 
 # 2014-01-01T00:00:00Z; gives generated data realistic epoch timestamps.
 BASE_EPOCH = 1_388_534_400
@@ -210,9 +210,7 @@ def save_ground_truth(path: str, truth: GroundTruth, spec: SynthSpec,
     obj["spec"] = asdict(spec)
     if provenance:
         obj["provenance"] = dict(provenance)
-    with _atomic_text(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    save_json(path, obj)
 
 
 def load_ground_truth(path: str) -> GroundTruth:

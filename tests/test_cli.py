@@ -117,6 +117,29 @@ def test_compare_lays_out_and_scores_each_side_once(tmp_path, synth_files, monke
     assert calls == {"slot_layout": 2, "scores": 3}
 
 
+def test_compare_and_train_cb_build_no_drift_records(tmp_path, synth_files, monkeypatch):
+    data, _ = synth_files
+    built = []
+    original = driftguard.drift.DriftRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(driftguard.drift.DriftRecord, "__init__", counted)
+    out = str(tmp_path / "bundle")
+    assert run(["compare", "--dataset", data, "--out", out,
+                "--boundary", str(BASE_EPOCH + 3 * 2592000), "--nf", "10", *SLOT_ARGS,
+                "--iters", "5", "--no-provenance-timestamp"]) == 0
+    assert run(["train-cb", "--dataset", data, "--model", os.path.join(out, "svm.model"),
+                "--out", str(tmp_path / "cb.model"), "--nf", "10", *SLOT_ARGS,
+                "--iters", "5", "--no-provenance-timestamp"]) == 0
+    assert built == []
+    ds = dgio.load_dataset(data)
+    model, _ = dgio.load_model(os.path.join(out, "svm.model"))
+    config = driftguard.DriftConfig(slot_mode="fixed", dt_seconds=2592000)
+    assert len(driftguard.t_stability(model, ds, config).records) == len(built) == ds.d
+
+
 def test_compare_bad_slot_config_exits_before_training(tmp_path, synth_files, capsys):
     data, _ = synth_files
     out = str(tmp_path / "bundle")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import driftguard as dg
-from driftguard.core import DataError
+from driftguard.core import DataError, FeatureError, SampleError
 
 from conftest import binary_dataset, random_dataset, random_model
 
@@ -182,3 +182,44 @@ def test_csr_arrays_are_readonly():
     model = random_model(np.random.default_rng(0), ds)
     with pytest.raises(ValueError):
         model.weights[0] = 5.0
+
+
+# every character at which str.splitlines ends a line, plus "\r\n"
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", [b for b in LINE_BREAKS if "\n" not in b])  # "\n" ranks first
+def test_dictionary_rejects_a_name_with_a_line_break(brk):
+    with pytest.raises(FeatureError, match=r"feature 1: name .* holds a line break") as info:
+        dg.FeatureDictionary(["ok", f"a{brk}b", "z"])
+    assert info.value.index == 1
+
+
+def test_name_line_break_ranks_after_the_earlier_name_checks():
+    with pytest.raises(FeatureError, match="duplicate feature name 'b'"):
+        dg.FeatureDictionary(["a\rx", "b", "b"])
+    with pytest.raises(FeatureError, match="feature 2: name must be nonempty"):
+        dg.FeatureDictionary(["a\u2028", "b", "c\td"])
+
+
+@pytest.mark.parametrize("sid", ["a\tb", "#x", "#"] + [f"a{brk}b" for brk in LINE_BREAKS])
+def test_dataset_rejects_an_id_that_does_not_fit_a_sample_line(sid):
+    fd = dg.FeatureDictionary(["a"])
+    samples = [dg.SparseSample(id=i, timestamp=0, label=0, indices=()) for i in ("s0", sid, "s2")]
+    with pytest.raises(SampleError, match="id must not start with '#' or hold a tab or a line "
+                                          "break") as info:
+        dg.Dataset(fd, samples)
+    assert info.value.row == 1
+    kept = dg.Dataset(fd, [dg.SparseSample(id=i, timestamp=0, label=0, indices=())
+                           for i in ("", " #x", "x#", "\"", "$", "a b", "é,\"")])
+    assert kept.ids.tolist() == ["", " #x", "x#", "\"", "$", "a b", "é,\""]
+
+
+def test_id_check_ranks_after_every_earlier_sample_check():
+    fd = dg.FeatureDictionary(["a"])
+    with pytest.raises(SampleError, match="sample s2: label must be 0 or 1, got 2"):
+        dg.Dataset.from_arrays(fd, ["#x", "s1", "s2"], [0, 0, 0], [0, 0, 2], [0, 0, 0, 0], [])
+    with pytest.raises(SampleError, match="sample s1: duplicate sample id") as info:
+        dg.Dataset.from_arrays(fd, ["a\rb", "s1", "s1"], [0, 0, 0], [0, 0, 0], [0, 0, 0, 0], [])
+    assert info.value.row == 2

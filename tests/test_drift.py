@@ -5,7 +5,7 @@ import pytest
 
 import driftguard as dg
 from driftguard.core import DataError
-from driftguard.drift import (DriftConfig, fit_slope, slot_count, slot_layout,
+from driftguard.drift import (DriftConfig, DriftRecord, fit_slope, slot_count, slot_layout,
                               slot_means, stability_values, t_stability)
 
 from conftest import binary_dataset, random_dataset, random_model
@@ -216,6 +216,31 @@ def test_report_sorted_by_delta_with_index_tiebreak():
             assert a.index < b.index
     for r in report.records:
         assert r.delta == r.weight * r.slope
+
+
+def test_records_are_built_on_demand_from_the_vectors():
+    rng = np.random.default_rng(34)
+    ds = random_dataset(rng, 60, 9, t_span=100)
+    model = random_model(rng, ds)
+    report = t_stability(model, ds, DriftConfig(slot_mode="fixed", dt_seconds=25))
+    order = np.argsort(report.delta, kind="stable")
+    eager = tuple(DriftRecord(index=int(j), name=ds.dictionary.names[j],
+                              weight=float(model.weights[j]), slope=float(report.slopes[j]),
+                              delta=float(report.delta[j]), observed=bool(report.observed[j]))
+                  for j in order)
+    assert report.records == eager
+    assert report.records is not report.records  # built anew, never stored
+    assert np.array_equal(report.order, order)
+    assert report.weights is model.weights and report.names is ds.dictionary.names
+
+
+def test_slot_means_keep_an_empty_slot_at_zero():
+    # slot 1 holds only a negative sample, so no class-1 mean is observed there
+    ds = binary_dataset([[0, 1], [1], [0], [1]], [1, 1, 0, 1], timestamps=[0, 1, 4, 8], d=2)
+    means = slot_means(ds, DriftConfig(slot_mode="fixed", dt_seconds=3))
+    assert means.counts.tolist() == [2, 0, 1]
+    assert means.matrix.tolist() == [[0.5, 0.0, 0.0], [1.0, 0.0, 1.0]]
+    assert means.empty.tolist() == [False, True, False]
 
 
 def test_unobserved_features_flagged_with_zero_slope():

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftguard as dg
 from driftguard import io as dgio
 from driftguard.core import DataError
-from driftguard.drift import DriftConfig, t_stability
+from driftguard.drift import DriftConfig, DriftRecord, t_stability
 from driftguard.evaluation import evaluate_slots
 
 from conftest import binary_dataset, random_dataset, random_model
@@ -139,6 +143,44 @@ def test_dataset_feature_count_mismatch(tmp_path):
         dgio.load_dataset(path)
 
 
+# characters that end or split a line, mixed into arbitrary unicode text
+_TRICKY = st.sampled_from(["\t", "\n", "\r", "\r\n", "#", " ", ",", '"', "\x0b", "\x0c",
+                           "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "é", "日"])
+_TEXT = st.lists(st.one_of(_TRICKY, st.characters(exclude_categories=())),
+                 max_size=5).map("".join)
+
+
+def _fits_a_line(text):
+    """The loader's own rule: text adds no line, and UTF-8 can encode it."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return len(f"<{text}>".splitlines()) == 1 and "\t" not in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(_TEXT, min_size=1, max_size=4, unique=True),
+       ids=st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+def test_a_dataset_that_constructs_loads_back(names, ids):
+    valid = (all(name and _fits_a_line(name) for name in names)
+             and all(_fits_a_line(sid) and not sid.startswith("#") for sid in ids))
+    n = len(ids)
+    try:
+        ds = dg.Dataset.from_arrays(dg.FeatureDictionary(names), ids, range(n),
+                                    [k % 2 for k in range(n)], [0] + [1] * n, [0])
+    except (DataError, UnicodeEncodeError):  # UTF-8 cannot hold a lone surrogate
+        assert not valid
+        return
+    assert valid
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.dg")
+        dgio.save_dataset(path, ds)
+        loaded = dgio.load_dataset(path)
+    assert loaded.dictionary == ds.dictionary
+    assert loaded.samples == ds.samples
+
+
 # --- model round trips ----------------------------------------------------------------
 
 def test_model_round_trip_dense_bit_exact(tmp_path):
@@ -163,6 +205,36 @@ def test_model_round_trip_sparse_encoding(tmp_path):
     assert "encoding=sparse" in open(path).read()
     loaded, _ = dgio.load_model(path)
     assert np.array_equal(loaded.weights, w)
+
+
+def _reference_model_text(model, bounded, config, provenance):
+    """The per-line model writer that the single-path one replaced."""
+    w = model.weights
+    sparse = int(np.sum(w == 0.0)) * 2 > len(w)
+    lines = ["#driftguard-model v1"] + [f"# {k}={v}" for k, v in provenance.items()]
+    lines += [f"d={model.d}", f"bias={model.bias!r}",
+              f"fingerprint={model.dictionary_fingerprint}",
+              f"encoding={'sparse' if sparse else 'dense'}"]
+    if bounded is not None:
+        lines.append("bounded=" + ",".join(str(int(j)) for j in bounded))
+    lines += [f"config.{k}={v}" for k, v in config.items()]
+    lines += [f"w {j} {float(w[j])!r}" for j in (np.flatnonzero(w) if sparse else range(len(w)))]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n_zero", [0, 6, 7, 12])  # dense up to half zeros, sparse above
+def test_model_bytes_match_the_per_line_writer(tmp_path, n_zero):
+    fd = dg.FeatureDictionary([f"f{j}" for j in range(12)])
+    w = np.random.default_rng(n_zero).normal(size=12)
+    w[:n_zero] = 0.0
+    w[:n_zero:2] = -0.0
+    model = dg.LinearModel.for_dictionary(w, -0.0, fd)
+    path = str(tmp_path / "m.model")
+    for bounded, config, prov in ((None, {}, {}), ([3, 1], {"iters": 5}, {"seed": 7})):
+        dgio.save_model(path, model, bounded=bounded, config=config, provenance=prov)
+        expected = _reference_model_text(model, bounded, config, prov)
+        assert ("encoding=sparse" in expected) == (n_zero > 6)
+        assert open(path, encoding="utf-8", newline="").read() == expected
 
 
 def test_model_metadata_round_trip(tmp_path):
@@ -280,6 +352,47 @@ def test_drift_report_csv_columns_and_order(tmp_path):
     assert float(first[3]) == rec.weight and float(first[4]) == rec.slope
 
 
+def _eager_records(model, dataset, report):
+    """The DriftRecord tuple that t_stability once built for every feature."""
+    return tuple(
+        DriftRecord(index=int(j), name=dataset.dictionary.names[j],
+                    weight=float(model.weights[j]), slope=float(report.slopes[j]),
+                    delta=float(report.delta[j]), observed=bool(report.observed[j]))
+        for j in np.argsort(report.delta, kind="stable"))
+
+
+def _reference_drift_csv(path, records, provenance):
+    """The per-record drift writer that the columnar one replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# driftguard-drift-report v1\n")
+        for key, value in provenance.items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(dgio.DRIFT_COLUMNS)
+        for rank, rec in enumerate(records):
+            writer.writerow([rank, rec.index, rec.name, repr(float(rec.weight)),
+                             repr(float(rec.slope)), repr(float(rec.delta))])
+
+
+def test_drift_report_bytes_match_the_per_record_writer(tmp_path):
+    names = ["api::open", "url::http://x.test/a,b", 'say "hi"', " lead and trail ", "ünï日本",
+             'both, "and"', "plain", "url::'q'"]
+    rng = np.random.default_rng(12)
+    ds = random_dataset(rng, 40, len(names), density=0.4, t_span=100)
+    ds = dg.Dataset.from_arrays(dg.FeatureDictionary(names), ds.ids, ds.timestamps, ds.labels,
+                                ds.indptr, ds.indices)
+    w = np.array([0.5, -0.0, 0.0, -0.25, 0.5, -0.0, 1.0, 0.0])  # signed zeros tie delta at 0
+    model = dg.LinearModel.for_dictionary(w, 0.1, ds.dictionary)
+    report = t_stability(model, ds, DriftConfig(slot_mode="fixed", dt_seconds=25))
+    records = _eager_records(model, ds, report)
+    assert report.records == records
+    assert np.count_nonzero(report.delta == 0.0) >= 4  # ties, broken by index
+    got, want = str(tmp_path / "drift.csv"), str(tmp_path / "reference.csv")
+    dgio.save_drift_report(got, report, provenance={"seed": 1})
+    _reference_drift_csv(want, records, {"seed": 1})
+    assert open(got, "rb").read() == open(want, "rb").read()
+
+
 def test_eval_report_csv_with_undefined_fields(tmp_path):
     ds = binary_dataset([[0], [0], []], [1, 1, 0], timestamps=[0, 1, 10], d=1)
     model = dg.LinearModel.for_dictionary([1.0], -0.5, ds.dictionary)
@@ -318,7 +431,23 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
             fh.write("partial")
             raise RuntimeError("boom")
     assert not target.exists()
-    assert not (tmp_path / "out.txt.tmp").exists()
+    assert os.listdir(tmp_path) == []
+
+
+def test_interleaved_atomic_writers_of_one_path_both_succeed(tmp_path):
+    target = str(tmp_path / "out.txt")
+    with dgio._atomic_text(target) as first:
+        first.write("first " * 1000)
+        with dgio._atomic_text(target) as second:
+            second.write("second\n")
+            first.write("\n")
+        assert open(target).read() == "second\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert open(target).read() == "first " * 1000 + "\n"
+    # the file gets the mode that a plain open() gives
+    with open(str(tmp_path / "plain.txt"), "w"):
+        pass
+    assert os.stat(target).st_mode == os.stat(str(tmp_path / "plain.txt")).st_mode
 
 
 def test_save_json_round_trip(tmp_path):
