@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from . import __version__, _kernels
 from . import io as dgio
 from .core import DataError, NumericError
-from .drift import DriftConfig, SlotView, score_trend, t_stability
+from .drift import DriftConfig, SlotView, score_trend, slot_count, t_stability
 from .evaluation import (SlotMetrics, SplitSpec, check_fpr_cap, decay_slope, evaluate_slots,
                          temporal_split)
 from .synth import SynthSpec, generate, save_ground_truth
@@ -157,8 +157,7 @@ def _drift_config(args) -> DriftConfig:
 
 
 def _train_config(args, l2: float) -> TrainConfig:
-    return TrainConfig(iterations=args.iters, eta0=args.eta0, schedule=args.schedule,
-                       l2_lambda=l2, seed=args.seed)
+    return TrainConfig(iterations=args.iters, eta0=args.eta0, schedule=args.schedule, l2_lambda=l2)
 
 
 def _summary_slopes(metrics: list[SlotMetrics]) -> dict:
@@ -241,7 +240,8 @@ def _cmd_compare(args) -> int:
     dataset = dgio.load_dataset(args.dataset)
     train_set, test_set = temporal_split(dataset, SplitSpec(args.boundary))
     slot_config = _drift_config(args)
-    # bad flags and a bad slot config fail before any training or output
+    # bad flags and a bad slot config on either side fail before any training or output
+    slot_count(train_set, slot_config)
     test_view = SlotView.build(test_set, slot_config)
     check_fpr_cap(args.fpr_cap)
     cb_base = _train_config(args, 0.0)

@@ -26,6 +26,15 @@ def _splits_line(text: str) -> bool:
     return any(ch in text for ch in _LINE_SPLITTERS)
 
 
+def _encodes(text: str) -> bool:
+    """True unless text holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class DataError(ValueError):
     """Malformed or mutually inconsistent data.
 
@@ -50,28 +59,40 @@ class FeatureDictionary:
     """Ordered, immutable mapping between feature names and indices.
 
     The index of a name is its position in the construction order and is
-    stable for the lifetime of the dictionary. ``fingerprint`` is a short
-    content hash used to bind models to the dictionary they were trained
-    against.
+    stable for the lifetime of the dictionary. ``names``, one read-only
+    StringDType array, is the only copy of the names; ``index_of`` builds
+    the name-to-index map on first use. ``fingerprint`` is a short content
+    hash used to bind models to the dictionary they were trained against.
     """
 
     __slots__ = ("_names", "_index", "fingerprint")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        index: dict[str, int] = {}
+        seen: set[str] = set()
         for i, name in enumerate(names):
             if not name or "\t" in name or "\n" in name:
                 raise FeatureError(i, f"feature {i}: name must be nonempty and free of "
                                       "tabs/newlines")
-            if name in index:
+            if name in seen:
                 raise FeatureError(i, f"duplicate feature name {name!r}")
-            index[name] = i
-        if _splits_line("".join(names)):  # one scan of all names; walk only on a hit
+            seen.add(name)
+        del seen
+        joined = "".join(names)  # one scan of all names per check; walk only on a hit
+        if _splits_line(joined):
             i = next(i for i, name in enumerate(names) if _splits_line(name))
             raise FeatureError(i, f"feature {i}: name {names[i]!r} holds a line break")
-        self._names = names
-        self._index = index
+        if "\x00" in joined:  # the fingerprint joins the names with NUL
+            i = next(i for i, name in enumerate(names) if "\x00" in name)
+            raise FeatureError(i, f"feature {i}: name {names[i]!r} holds a NUL")
+        del joined
+        try:
+            self._names = np.array(names, dtype=StringDType())
+        except UnicodeEncodeError:
+            i = next(i for i, name in enumerate(names) if not _encodes(name))
+            raise FeatureError(i, f"feature {i}: name {names[i]!r} is not valid UTF-8") from None
+        self._names.flags.writeable = False
+        self._index = None  # built by index_of on first use
         h = hashlib.sha256()
         h.update(str(len(names)).encode())
         for name in names:
@@ -80,7 +101,7 @@ class FeatureDictionary:
         self.fingerprint = h.hexdigest()[:16]
 
     @property
-    def names(self) -> tuple[str, ...]:
+    def names(self) -> np.ndarray:
         return self._names
 
     @property
@@ -88,6 +109,8 @@ class FeatureDictionary:
         return len(self._names)
 
     def index_of(self, name: str) -> int:
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self._names.tolist())}
         try:
             return self._index[name]
         except KeyError:
@@ -97,10 +120,10 @@ class FeatureDictionary:
         return len(self._names)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FeatureDictionary) and self._names == other._names
+        return isinstance(other, FeatureDictionary) and np.array_equal(self._names, other._names)
 
     def __hash__(self):
-        return hash(self._names)
+        return hash(self.fingerprint)
 
     def __repr__(self) -> str:
         return f"FeatureDictionary(d={self.d}, fingerprint={self.fingerprint})"
@@ -149,14 +172,19 @@ class SampleError(DataError):
 def _validated(d: int, ids, timestamps, labels, indptr, indices):
     """The sample arrays in Dataset's dtypes, once every invariant holds.
 
-    Labels must be 0 or 1, each row's indices strictly increasing in [0, d)
-    and ids unique. SampleError names the first offending sample; within it,
-    the check listed first wins. Only then must ids hold no tab or line
-    break and not start with '#'.
+    Ids must be text that UTF-8 can encode. Labels must be 0 or 1, each
+    row's indices strictly increasing in [0, d) and ids unique. SampleError
+    names the first offending sample; within it, the check listed first
+    wins. Only then must ids hold no tab or line break and not start with
+    '#'.
     """
     # one scan of all ids, whose joined text is freed before the arrays are built
     ids_split = _splits_line("".join(map(str, ids)))
-    ids = np.array(ids, dtype=StringDType())
+    try:
+        ids = np.array(ids, dtype=StringDType())
+    except UnicodeEncodeError:
+        r, sid = next((r, sid) for r, sid in enumerate(map(str, ids)) if not _encodes(sid))
+        raise SampleError(r, f"sample {sid!r}: id is not valid UTF-8") from None
     timestamps, indptr = np.array(timestamps, dtype=np.int64), np.array(indptr, dtype=np.int64)
     labels, indices = np.asarray(labels, dtype=np.int64), np.asarray(indices, dtype=np.int64)
     n, lengths = len(ids), np.diff(indptr)
@@ -200,14 +228,13 @@ def _validated(d: int, ids, timestamps, labels, indptr, indices):
 class Dataset:
     """A feature dictionary plus samples stored as read-only CSR-style arrays.
 
-    ``ids``, ``timestamps``, ``labels`` and ``y_signed`` hold one entry per
-    sample; the feature indices of sample i are
-    ``indices[indptr[i]:indptr[i + 1]]``. The arrays are the only storage;
-    ``samples`` builds SparseSample objects on demand.
+    ``ids``, ``timestamps`` and ``labels`` hold one entry per sample; the
+    feature indices of sample i are ``indices[indptr[i]:indptr[i + 1]]``.
+    The arrays are the only storage; ``samples`` and ``y_signed`` are built
+    from them on demand.
     """
 
-    __slots__ = ("dictionary", "ids", "indptr", "indices", "labels",
-                 "timestamps", "y_signed")
+    __slots__ = ("dictionary", "ids", "indptr", "indices", "labels", "timestamps")
 
     def __init__(self, dictionary: FeatureDictionary, samples: Iterable[SparseSample]):
         samples = tuple(samples)
@@ -224,8 +251,7 @@ class Dataset:
             dictionary, *_validated(dictionary.d, ids, timestamps, labels, indptr, indices))
 
     def _adopt(self, dictionary, ids, timestamps, labels, indptr, indices) -> "Dataset":
-        y_signed = labels.astype(np.float64) * 2.0 - 1.0
-        for arr in (ids, timestamps, labels, indptr, indices, y_signed):
+        for arr in (ids, timestamps, labels, indptr, indices):
             arr.flags.writeable = False
         self.dictionary = dictionary
         self.ids = ids
@@ -233,8 +259,12 @@ class Dataset:
         self.labels = labels
         self.indptr = indptr
         self.indices = indices
-        self.y_signed = y_signed
         return self
+
+    @property
+    def y_signed(self) -> np.ndarray:
+        """The labels as float64 -1.0/+1.0, built anew on each access."""
+        return self.labels.astype(np.float64) * 2.0 - 1.0
 
     @property
     def samples(self) -> tuple[SparseSample, ...]:

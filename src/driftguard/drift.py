@@ -99,6 +99,25 @@ _YEAR_1, _YEAR_10000 = np.array(["0001-01-01", "10000-01-01"],
 MAX_SLOTS = 9999 * 12
 
 
+def _slot_span(dataset: Dataset, config: DriftConfig) -> tuple[int, int]:
+    """(t_min, slot count) of dataset under config, once the span can be slotted."""
+    if dataset.n == 0:
+        raise DataError("cannot slot an empty dataset")
+    t_min, t_max = int(dataset.timestamps.min()), int(dataset.timestamps.max())
+    if config.slot_mode == "fixed":
+        dt = config.dt_seconds
+        n_slots = max(1, -((t_min - t_max) // dt))  # ceil((t_max - t_min) / dt)
+        if n_slots > MAX_SLOTS:
+            raise DataError(f"{dt}-second slots over epochs {t_min}..{t_max} make {n_slots} "
+                            f"slots; at most {MAX_SLOTS} are supported")
+        return t_min, n_slots
+    if t_min < _YEAR_1 or t_max >= _YEAR_10000:
+        raise DataError(f"month slots need timestamps in years 1-9999 UTC, "
+                        f"got {t_min if t_min < _YEAR_1 else t_max}")
+    first, last = np.array([t_min, t_max], dtype="datetime64[s]").astype("datetime64[M]")
+    return t_min, int((last - first).astype(np.int64)) + 1
+
+
 def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
     """Assign every sample to exactly one slot.
 
@@ -108,24 +127,15 @@ def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
     month from t_min's to t_max's inclusive, empty months included. Either
     mode makes at most MAX_SLOTS slots.
     """
-    if dataset.n == 0:
-        raise DataError("cannot slot an empty dataset")
+    t_min, n_slots = _slot_span(dataset, config)
     ts = dataset.timestamps
-    t_min, t_max = int(ts.min()), int(ts.max())
     if config.slot_mode == "fixed":
         dt = config.dt_seconds
-        n_slots = max(1, -((t_min - t_max) // dt))  # ceil((t_max - t_min) / dt)
-        if n_slots > MAX_SLOTS:
-            raise DataError(f"{dt}-second slots over epochs {t_min}..{t_max} make {n_slots} "
-                            f"slots; at most {MAX_SLOTS} are supported")
         # offsets from t_min in uint64 arithmetic, exact for any span of int64 epochs
         offsets = ts.astype(np.uint64) - np.uint64(t_min % 2**64)
         ids = np.minimum(offsets // np.uint64(min(dt, 2**64 - 1)), n_slots - 1).astype(np.int64)
         bounds = tuple((t_min + k * dt, t_min + (k + 1) * dt) for k in range(n_slots))
         return SlotLayout(ids, bounds)
-    if t_min < _YEAR_1 or t_max >= _YEAR_10000:
-        raise DataError(f"month slots need timestamps in years 1-9999 UTC, "
-                        f"got {t_min if t_min < _YEAR_1 else t_max}")
     months = ts.astype("datetime64[s]").astype("datetime64[M]")
     first = months.min()
     ids = (months - first).astype(np.int64)
@@ -135,8 +145,11 @@ def slot_layout(dataset: Dataset, config: DriftConfig) -> SlotLayout:
 
 
 def slot_count(dataset: Dataset, config: DriftConfig) -> int:
-    """Number of time slots the dataset spans under config (>= 1)."""
-    return slot_layout(dataset, config).n_slots
+    """Number of time slots the dataset spans under config (>= 1).
+
+    Checks the span as slot_layout does, without assigning any sample.
+    """
+    return _slot_span(dataset, config)[1]
 
 
 @dataclass
@@ -151,7 +164,6 @@ class SlotMeans:
 
     matrix: np.ndarray
     counts: np.ndarray
-    bounds: tuple[tuple[int, int], ...]
 
     @property
     def n_slots(self) -> int:
@@ -171,7 +183,7 @@ def slot_means(dataset: Dataset, config: DriftConfig) -> SlotMeans:
         dataset.d, layout.n_slots,
     )
     sums /= np.maximum(counts, 1)  # an empty slot's sums are all zero
-    return SlotMeans(matrix=sums, counts=counts, bounds=layout.bounds)
+    return SlotMeans(matrix=sums, counts=counts)
 
 
 class SlopeFit(NamedTuple):
@@ -241,17 +253,14 @@ class DriftReport:
     delta: np.ndarray
     observed: np.ndarray
     order: np.ndarray
-    names: tuple[str, ...]
-    slot_counts: np.ndarray
-    slot_bounds: tuple[tuple[int, int], ...]
+    names: np.ndarray
 
     @property
     def records(self) -> tuple[DriftRecord, ...]:
         """The ranking as DriftRecord objects, built anew on each access."""
         columns = (arr[self.order].tolist()
-                   for arr in (self.weights, self.slopes, self.delta, self.observed))
-        return tuple(DriftRecord(j, self.names[j], *values)
-                     for j, *values in zip(self.order.tolist(), *columns))
+                   for arr in (self.names, self.weights, self.slopes, self.delta, self.observed))
+        return tuple(DriftRecord(*values) for values in zip(self.order.tolist(), *columns))
 
 
 def stability_values(weights: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -278,8 +287,6 @@ def t_stability(model: LinearModel, dataset: Dataset, config: DriftConfig) -> Dr
         observed=means.matrix.max(axis=1) > 0.0,
         order=np.argsort(delta, kind="stable"),
         names=dataset.dictionary.names,
-        slot_counts=means.counts,
-        slot_bounds=means.bounds,
     )
 
 

@@ -94,7 +94,7 @@ def save_dataset(path: str, dataset: Dataset, provenance: Mapping | None = None)
         fh.write(f"{DATASET_MAGIC} {FORMAT_VERSION} d={dataset.d}\n")
         for line in _comment_lines(provenance):
             fh.write(line + "\n")
-        for i, name in enumerate(dataset.dictionary.names):
+        for i, name in enumerate(dataset.dictionary.names.tolist()):
             fh.write(f"#feature {i} {name}\n")
         fh.write("".join(
             f"{sid}\t{ts}\t{label}\t{','.join(tokens[a:b])}\n"
@@ -333,7 +333,7 @@ def save_drift_report(path: str, report: DriftReport,
     floats = (map(repr, arr[report.order].tolist())
               for arr in (report.weights, report.slopes, report.delta))
     _write_csv(path, ["# driftguard-drift-report v1"], provenance, DRIFT_COLUMNS,
-               zip(range(len(order)), order, map(report.names.__getitem__, order), *floats))
+               zip(range(len(order)), order, report.names[report.order].tolist(), *floats))
 
 
 def _opt(value: float | None) -> str:

@@ -41,15 +41,14 @@ SCHEDULES = ("constant", "cosine")
 class TrainConfig:
     """Gradient-descent hyperparameters.
 
-    ``seed`` is recorded for provenance; the full-batch recipe from a zero
-    start has no stochastic component, so it does not alter the result.
+    The full-batch recipe from a zero start has no stochastic component, so
+    training takes no seed.
     """
 
     iterations: int = 2000
     eta0: float = 7e-5
     schedule: str = "cosine"
     l2_lambda: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:

@@ -10,7 +10,7 @@ import pytest
 import driftguard
 from driftguard import io as dgio
 from driftguard.cli import run
-from driftguard.synth import BASE_EPOCH
+from driftguard.synth import BASE_EPOCH, REFERENCE_SPEC
 
 from conftest import binary_dataset
 
@@ -38,6 +38,16 @@ def test_synth_writes_loadable_outputs(synth_files):
     assert len(obj["features"]) == 10
     assert obj["slot_seconds"] == 2592000
     assert obj["provenance"]["command"] == "synth"
+
+
+def test_synth_seed_7_writes_the_reference_fixture(tmp_path, reference_data):
+    data = str(tmp_path / "data.dg")
+    assert run(["synth", "--out", data, "--seed", "7", "--no-provenance-timestamp"]) == 0
+    assert REFERENCE_SPEC.seed == 7
+    ds, want = dgio.load_dataset(data), reference_data[0]
+    assert ds.dictionary == want.dictionary
+    for name in ("ids", "timestamps", "labels", "indptr", "indices"):
+        assert np.array_equal(getattr(ds, name), getattr(want, name)), name
 
 
 def test_train_drift_traincb_eval_pipeline(tmp_path, synth_files):
@@ -148,6 +158,31 @@ def test_compare_bad_slot_config_exits_before_training(tmp_path, synth_files, ca
                 "fixed", "--dt-seconds", "10", *FAST_TRAIN, "--no-provenance-timestamp"]) == 2
     assert "at most 119988" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("slot_flags, train_times, boundary, message", [
+    (["--slot-mode", "fixed", "--dt-seconds", "100"], [0, 2**39, 2**40 - 1], 2**40,
+     "make 10995116278 slots; at most 119988 are supported"),
+    (["--slot-mode", "month"], [-62135596801, -10, -5], 0,
+     "month slots need timestamps in years 1-9999 UTC, got -62135596801"),
+], ids=["fixed", "month"])
+def test_compare_checks_the_train_side_slots_before_training(tmp_path, capsys, monkeypatch,
+                                                             slot_flags, train_times, boundary,
+                                                             message):
+    fd = driftguard.FeatureDictionary(["a", "b"])
+    times = train_times + [boundary + k for k in (0, 400, 999)]
+    samples = [driftguard.SparseSample(id=f"s{i}", timestamp=t, label=i % 2, indices=(i % 2,))
+               for i, t in enumerate(times)]
+    data = str(tmp_path / "data.dg")
+    dgio.save_dataset(data, driftguard.Dataset(fd, samples))
+    trained, train_svm = [], driftguard.cli.train_svm
+    monkeypatch.setattr(driftguard.cli, "train_svm",
+                        lambda *args: trained.append(args) or train_svm(*args))
+    out = str(tmp_path / "bundle")
+    assert run(["compare", "--dataset", data, "--out", out, "--boundary", str(boundary),
+                "--nf", "1", *slot_flags, "--iters", "5", "--no-provenance-timestamp"]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out) and trained == []
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -223,3 +223,51 @@ def test_id_check_ranks_after_every_earlier_sample_check():
     with pytest.raises(SampleError, match="sample s1: duplicate sample id") as info:
         dg.Dataset.from_arrays(fd, ["a\rb", "s1", "s1"], [0, 0, 0], [0, 0, 0], [0, 0, 0, 0], [])
     assert info.value.row == 2
+
+
+def test_dictionaries_that_place_a_nul_differently_are_refused():
+    # joined by NUL for the fingerprint, both would hash to the same text
+    for names, index in ((["a\x00b", "c"], 0), (["a", "b\x00c"], 1)):
+        with pytest.raises(FeatureError, match=f"feature {index}: name .* holds a NUL") as info:
+            dg.FeatureDictionary(names)
+        assert info.value.index == index
+    # the NUL check ranks after every earlier name check
+    with pytest.raises(FeatureError, match="feature 1: name 'b\\\\rc' holds a line break"):
+        dg.FeatureDictionary(["a\x00", "b\rc"])
+    with pytest.raises(FeatureError, match="duplicate feature name 'b'"):
+        dg.FeatureDictionary(["a\x00", "b", "b"])
+
+
+def test_text_that_utf8_cannot_encode_is_a_data_error():
+    with pytest.raises(FeatureError, match="feature 1: name '\\\\ud800' is not valid "
+                                           "UTF-8") as info:
+        dg.FeatureDictionary(["ok", "\ud800"])
+    assert info.value.index == 1
+    fd = dg.FeatureDictionary(["a"])
+    with pytest.raises(SampleError, match="sample '\\\\ud800': id is not valid UTF-8") as info:
+        dg.Dataset(fd, [dg.SparseSample(id=i, timestamp=0, label=0, indices=())
+                        for i in ("s0", "s1", "\ud800")])
+    assert info.value.row == 2
+    with pytest.raises(SampleError) as info:
+        dg.Dataset.from_arrays(fd, ["s0", "x\udfffy"], [0, 0], [0, 1], [0, 0, 0], [])
+    assert info.value.row == 1
+
+
+def test_dictionary_keeps_its_names_once_as_a_readonly_string_array():
+    fd = dg.FeatureDictionary(["a", "b", "c"])
+    assert isinstance(fd.names.dtype, np.dtypes.StringDType)
+    assert fd.names is fd.names and fd.names.tolist() == ["a", "b", "c"]
+    with pytest.raises(ValueError):
+        fd.names[0] = "z"
+    same = dg.FeatureDictionary(fd.names)
+    assert same == fd and hash(same) == hash(fd) and same.fingerprint == fd.fingerprint
+    assert fd != dg.FeatureDictionary(["a", "b"]) and fd != dg.FeatureDictionary(["a", "c", "b"])
+    assert fd.index_of("c") == 2 and same.index_of("a") == 0
+    assert dg.FeatureDictionary([]) == dg.FeatureDictionary([])
+
+
+def test_signed_labels_are_built_on_demand():
+    ds = binary_dataset([[0], [], [0]], [1, 0, 1])
+    assert "y_signed" not in dg.Dataset.__slots__
+    assert ds.y_signed.dtype == np.float64 and ds.y_signed.tolist() == [1.0, -1.0, 1.0]
+    assert ds.y_signed is not ds.y_signed

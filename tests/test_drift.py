@@ -2,6 +2,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftguard as dg
 from driftguard.core import DataError
@@ -112,6 +114,59 @@ def test_every_sample_lands_in_exactly_one_slot():
             start, end = layout.bounds[k]
             assert start <= s.timestamp
             assert s.timestamp < end or k == layout.n_slots - 1
+
+
+_YEAR_1, _YEAR_10000 = -62135596800, 253402300800
+_DAY = 86400
+
+
+@st.composite
+def _fixed_case(draw):
+    dt = draw(st.integers(1, 2**56))
+    t0 = draw(st.integers(-2**62, 2**62))
+    # whole multiples of dt (so the span may be one exactly), or any offset within 30 windows
+    steps = st.integers(0, 30).map(lambda k: k * dt) | st.integers(0, 30 * dt)
+    return DriftConfig(slot_mode="fixed", dt_seconds=dt), t0, draw(st.lists(steps, max_size=8))
+
+
+@st.composite
+def _month_case(draw):
+    year = draw(st.integers(2, 9999))
+    new_year = int(np.datetime64(f"{year:04d}-01-01", "s").astype(np.int64))
+    # across one New Year, or anywhere in years 1-9999 over up to five years
+    t0 = draw(st.integers(new_year - 40 * _DAY, new_year)
+              | st.integers(_YEAR_1, _YEAR_10000 - 1))
+    steps = st.integers(0, min(5 * 366 * _DAY, _YEAR_10000 - 1 - t0))
+    return DriftConfig(slot_mode="month"), t0, draw(st.lists(steps, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fixed_case() | _month_case())
+def test_slot_layout_partitions_every_span(case):
+    config, t0, offsets = case
+    times = [t0] + [t0 + off for off in offsets]  # one timestamp when offsets is empty
+    n = len(times)
+    ds = dg.Dataset.from_arrays(dg.FeatureDictionary(["a"]), [f"s{i}" for i in range(n)],
+                                times, [i % 2 for i in range(n)], [0] * (n + 1), [])
+    layout = slot_layout(ds, config)
+    bounds = layout.bounds
+    assert slot_count(ds, config) == layout.n_slots == len(bounds) >= 1
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))  # contiguous
+    assert all(start < end for start, end in bounds)
+    # the first slot holds t_min and the last t_max
+    assert layout.slot_ids.min() == 0 and layout.slot_ids.max() == len(bounds) - 1
+    for t, k in zip(times, layout.slot_ids.tolist()):
+        start, end = bounds[k]
+        fixed_last = config.slot_mode == "fixed" and k == len(bounds) - 1
+        assert start <= t < end or (fixed_last and t == end)
+    if config.slot_mode == "fixed":
+        assert bounds[0][0] == min(times)
+        # the last window is the first to reach t_max, right-closed on an exact multiple
+        assert len(bounds) == 1 or bounds[-1][0] < max(times) <= bounds[-1][1]
+        assert all(end - start == config.dt_seconds for start, end in bounds)
+    else:
+        starts = np.array([start for start, _ in bounds] + [bounds[-1][1]], dtype="datetime64[s]")
+        assert np.array_equal(starts.astype("datetime64[M]").astype("datetime64[s]"), starts)
 
 
 # --- slot_means ------------------------------------------------------------------

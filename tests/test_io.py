@@ -143,9 +143,21 @@ def test_dataset_feature_count_mismatch(tmp_path):
         dgio.load_dataset(path)
 
 
-# characters that end or split a line, mixed into arbitrary unicode text
+def test_a_feature_name_holding_a_nul_fails_at_its_line(tmp_path):
+    path = str(tmp_path / "nul.dg")
+    with open(path, "w") as fh:
+        fh.write("#driftguard-dataset v1 d=2\n# note\n#feature 0 a\n#feature 1 b\x00c\n"
+                 "s0\t0\t0\t0\n")
+    with pytest.raises(dgio.FileFormatError, match=r"nul\.dg:4: feature 1: name 'b\\x00c' "
+                                                   "holds a NUL"):
+        dgio.load_dataset(path)
+
+
+# characters that end or split a line, NUL and a lone surrogate, mixed into arbitrary
+# unicode text
 _TRICKY = st.sampled_from(["\t", "\n", "\r", "\r\n", "#", " ", ",", '"', "\x0b", "\x0c",
-                           "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "é", "日"])
+                           "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "é", "日",
+                           "\x00", "\ud800"])
 _TEXT = st.lists(st.one_of(_TRICKY, st.characters(exclude_categories=())),
                  max_size=5).map("".join)
 
@@ -163,13 +175,13 @@ def _fits_a_line(text):
 @given(names=st.lists(_TEXT, min_size=1, max_size=4, unique=True),
        ids=st.lists(_TEXT, min_size=1, max_size=4, unique=True))
 def test_a_dataset_that_constructs_loads_back(names, ids):
-    valid = (all(name and _fits_a_line(name) for name in names)
+    valid = (all(name and _fits_a_line(name) and "\x00" not in name for name in names)
              and all(_fits_a_line(sid) and not sid.startswith("#") for sid in ids))
     n = len(ids)
     try:
         ds = dg.Dataset.from_arrays(dg.FeatureDictionary(names), ids, range(n),
                                     [k % 2 for k in range(n)], [0] + [1] * n, [0])
-    except (DataError, UnicodeEncodeError):  # UTF-8 cannot hold a lone surrogate
+    except DataError:
         assert not valid
         return
     assert valid
