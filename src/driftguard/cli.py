@@ -181,9 +181,11 @@ def _cmd_synth(args) -> int:
     )
     dataset, truth = generate(spec)
     prov = _provenance(args)
-    dgio.save_dataset(args.out, dataset, provenance=prov)
-    if args.truth_out:
-        save_ground_truth(args.truth_out, truth, spec, provenance=prov)
+    paths = [args.out] + ([args.truth_out] if args.truth_out else [])
+    with dgio.staged(*paths) as tmps:
+        dgio.save_dataset(tmps[0], dataset, provenance=prov)
+        if args.truth_out:
+            save_ground_truth(tmps[1], truth, spec, provenance=prov)
     return EXIT_OK
 
 

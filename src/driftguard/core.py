@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,7 +203,10 @@ def _validated(d: int, ids, timestamps, labels, indptr, indices):
     order = np.argsort(ids, kind="stable")
     ranked = ids[order]
     repeats = order[1:][ranked[1:] == ranked[:-1]]  # later copies of an id
-    hash_lo, hash_hi = np.searchsorted(ranked, ["#", "$"])  # ranked[lo:hi] start with '#'
+    # ranked[lo:] start with '#' or sort after it; bisect_left, as np.searchsorted
+    # fails on a StringDType string of 16 or more bytes in numpy 2.4
+    lo = bisect_left(ranked, "#")
+    hashed = lo < n and ranked[lo].startswith("#")
     del ranked  # a copy of every id; freed before the index checks allocate
     # (row, check rank, message) of each check's first offender; [:1] keeps at most one
     found = [(r, 0, f"label must be 0 or 1, got {labels[r]}")
@@ -217,7 +221,7 @@ def _validated(d: int, ids, timestamps, labels, indptr, indices):
     if found:
         r, _, message = min(found)
         raise SampleError(int(r), f"sample {ids[r]}: {message}")
-    if ids_split or hash_hi > hash_lo:  # walk only on a hit
+    if ids_split or hashed:  # walk only on a hit
         r = next(r for r, sid in enumerate(ids.tolist())
                  if sid.startswith("#") or _splits_line(sid))
         raise SampleError(r, f"sample {ids[r]!r}: id must not start with '#' or hold "

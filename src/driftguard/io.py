@@ -22,10 +22,11 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .core import (DataError, Dataset, FeatureDictionary, FeatureError, LinearModel,
                    SampleError)
@@ -47,20 +48,30 @@ class FileFormatError(DataError):
 
 
 @contextmanager
+def staged(*paths: str):
+    """Yield one temporary path beside each of paths; rename each onto its path
+    once the block completes, or remove them all if it raises, so a failed
+    block leaves none of paths new or partly written."""
+    tmps = [f"{path}.{os.urandom(8).hex()}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in tmps:  # name the caller's file
+            exc.filename = paths[tmps.index(exc.filename)]
+        raise
+
+
+@contextmanager
 def _atomic_text(path: str):
     """Write to a temporary file of this write's own, created exclusively beside
     path, then rename it onto path; on error remove it, leaving no partial file."""
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="")
-    try:
+    with staged(path) as (tmp,), open(tmp, "x", encoding="utf-8", newline="") as fh:
         yield fh
-        fh.close()
-        os.replace(tmp, path)
-    except BaseException:
-        fh.close()
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _comment_lines(provenance: Mapping | None) -> list[str]:
@@ -71,9 +82,11 @@ def _comment_lines(provenance: Mapping | None) -> list[str]:
 
 # --- datasets ---------------------------------------------------------------
 
-# Sample lines per int conversion of the index column; bounds the transient
-# per-token strings to a few MB.
+# The loader reads _BLOCK_BYTES at a time and parses _CHUNK_ROWS sample lines at
+# a time, so its peak is the arrays plus one chunk's per-token strings.
+_BLOCK_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 14
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _read_lines(path: str) -> list[str]:
@@ -85,6 +98,41 @@ def _read_lines(path: str) -> list[str]:
     except UnicodeDecodeError as exc:
         raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1,
                               f"not valid UTF-8 ({exc.reason})") from None
+
+
+def _line_blocks(fh) -> Iterator[list[str]]:
+    """The lines of a binary file, block by block, as one splitlines() of it gives them.
+
+    Each block is cut after its last b"\\n", which ends a line for splitlines()
+    and never falls inside a UTF-8 sequence or a \\r\\n pair.
+    """
+    parts: list[bytes] = []
+    while block := fh.read(_BLOCK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            parts.append(block[:cut])
+            yield b"".join(parts).decode("utf-8").splitlines()
+            parts = [block[cut:]]
+        else:
+            parts.append(block)
+    yield b"".join(parts).decode("utf-8").splitlines()
+
+
+def _int64s(text: str) -> np.ndarray:
+    """The comma-separated integers of text as int64, by Python int() rules.
+
+    np.fromstring is several times faster than int() per token, but unlike
+    int() it drops a trailing comma, reads a lone '-' as 0, saturates overflow
+    at int64 max, and refuses '1_000' and non-ASCII digits. So it parses only
+    ASCII digits and commas, and its result is kept only when it holds one
+    value per token (an empty token gives fewer values, or an error as int()
+    does) and no int64 max; any other text goes through int().
+    """
+    if text.isascii() and not text.encode("ascii").translate(None, b"0123456789,"):
+        values = np.fromstring(text, dtype=np.int64, sep=",")
+        if len(values) == text.count(",") + 1 and not np.any(values == _INT64_MAX):
+            return values
+    return np.array(text.split(","), dtype=np.int64)
 
 
 def save_dataset(path: str, dataset: Dataset, provenance: Mapping | None = None) -> None:
@@ -106,6 +154,43 @@ def _is_sample_line(line: str) -> bool:
     return not line.startswith("#") and bool(line.strip())
 
 
+def _dimension(path: str, line: str) -> int:
+    """d from the header line, which is line 1."""
+    head = line.split()
+    if len(head) < 3 or head[0] != DATASET_MAGIC:
+        raise FileFormatError(path, 1, f"expected '{DATASET_MAGIC} {FORMAT_VERSION} d=<d>' header")
+    if head[1] != FORMAT_VERSION:
+        raise FileFormatError(path, 1, f"unsupported format version {head[1]!r}")
+    if not head[2].startswith("d="):
+        raise FileFormatError(path, 1, "missing d=<d> in header")
+    try:
+        return int(head[2][2:])
+    except ValueError:
+        raise FileFormatError(path, 1, f"bad dimensionality {head[2]!r}") from None
+
+
+def _sample_lines(path: str, lines: list[str], start: int, names: list[str]) -> list[str]:
+    """The sample lines among lines, the first of which is line start.
+
+    Appends the name of each #feature line to names, checking its index.
+    """
+    for lineno, line in [(k, line) for k, line in enumerate(lines, start=start)
+                         if line.startswith("#feature ")]:
+        parts = line.split(" ", 2)
+        if len(parts) != 3:
+            raise FileFormatError(path, lineno, "malformed #feature line")
+        try:
+            idx = int(parts[1])
+        except ValueError:
+            raise FileFormatError(path, lineno, f"bad feature index {parts[1]!r}") from None
+        if idx != len(names):
+            raise FileFormatError(
+                path, lineno, f"feature index {idx} out of order (expected {len(names)})"
+            )
+        names.append(parts[2])
+    return [line for line in lines if _is_sample_line(line)]
+
+
 def _bad_record(path: str, lines: list[str]) -> FileFormatError:
     """The error at the first sample line that is not id, then int64 epoch, label, indices."""
     for lineno, line in enumerate(lines, start=1):
@@ -123,73 +208,83 @@ def _bad_record(path: str, lines: list[str]) -> FileFormatError:
     return FileFormatError(path, len(lines), "malformed sample record")
 
 
+def _located(path: str, exc: Exception) -> FileFormatError:
+    """The error, at its line, for a dataset file whose streaming load raised exc.
+
+    Re-reads the file whole and checks it in the order a load does: UTF-8,
+    header, #feature lines, their count, sample records, then the FeatureError
+    or SampleError that exc may carry.
+    """
+    lines = _read_lines(path)
+    if not lines:
+        return FileFormatError(path, 1, "empty file")
+    d = _dimension(path, lines[0])
+    names: list[str] = []
+    _sample_lines(path, lines, 1, names)
+    if len(names) != d:
+        return FileFormatError(
+            path, len(lines), f"header declares d={d} but {len(names)} #feature lines found"
+        )
+    if isinstance(exc, FeatureError):
+        lineno = [k for k, line in enumerate(lines, start=1) if line.startswith("#feature ")]
+        return FileFormatError(path, lineno[exc.index], str(exc))
+    if isinstance(exc, SampleError):
+        lineno = [k for k, line in enumerate(lines, start=1) if _is_sample_line(line)]
+        return FileFormatError(path, lineno[exc.row], str(exc))
+    return _bad_record(path, lines)
+
+
+def _sample_columns(rows: list[str]) -> tuple[np.ndarray, ...]:
+    """ids, timestamps, labels, index counts and indices of sample lines."""
+    n = len(rows)
+    if np.any(np.fromiter(map(str.count, rows, repeat("\t")), np.int64, n) != 3):
+        raise ValueError("a sample line without 4 tab-separated fields")
+    fields = "\t".join(rows).split("\t")
+    idx_fields = fields[3::4]
+    lengths = (np.fromiter(map(str.count, idx_fields, repeat(",")), np.int64, n)
+               + np.fromiter(map(bool, idx_fields), bool, n))
+    timestamps, labels = (_int64s(",".join(fields[k::4])) for k in (1, 2))
+    if len(timestamps) != n or len(labels) != n:
+        raise ValueError("a comma in an epoch or label field")
+    joined = ",".join(filter(None, idx_fields))
+    indices = _int64s(joined) if joined else np.zeros(0, dtype=np.int64)
+    return (np.array(fields[0::4], dtype=StringDType()), timestamps, labels, lengths, indices)
+
+
 def load_dataset(path: str) -> Dataset:
-    """Parse a dataset file column by column.
+    """Parse a dataset file in blocks, _CHUNK_ROWS sample lines at a time.
 
     Errors name the file and a line: the first sample line that does not
     parse into int64 fields, else the first sample that breaks a Dataset
     invariant.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise FileFormatError(path, 1, "empty file")
-    head = lines[0].split()
-    if len(head) < 3 or head[0] != DATASET_MAGIC:
-        raise FileFormatError(path, 1, f"expected '{DATASET_MAGIC} {FORMAT_VERSION} d=<d>' header")
-    if head[1] != FORMAT_VERSION:
-        raise FileFormatError(path, 1, f"unsupported format version {head[1]!r}")
-    if not head[2].startswith("d="):
-        raise FileFormatError(path, 1, "missing d=<d> in header")
     try:
-        d = int(head[2][2:])
-    except ValueError:
-        raise FileFormatError(path, 1, f"bad dimensionality {head[2]!r}") from None
-    names: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.startswith("#feature "):
-            continue
-        parts = line.split(" ", 2)
-        if len(parts) != 3:
-            raise FileFormatError(path, lineno, "malformed #feature line")
-        try:
-            idx = int(parts[1])
-        except ValueError:
-            raise FileFormatError(path, lineno, f"bad feature index {parts[1]!r}") from None
-        if idx != len(names):
-            raise FileFormatError(
-                path, lineno, f"feature index {idx} out of order (expected {len(names)})"
-            )
-        names.append(parts[2])
-    if len(names) != d:
-        raise FileFormatError(
-            path, len(lines), f"header declares d={d} but {len(names)} #feature lines found"
-        )
-    rows = list(filter(_is_sample_line, lines))
-    n = len(rows)
-    if np.any(np.fromiter(map(str.count, rows, repeat("\t")), np.int64, n) != 3):
-        raise _bad_record(path, lines)
-    fields = "\t".join(rows).split("\t") if rows else []
-    idx_fields = fields[3::4]
-    lengths = (np.fromiter(map(str.count, idx_fields, repeat(",")), np.int64, n)
-               + np.fromiter(map(bool, idx_fields), bool, n))
-    try:
-        timestamps, labels = (np.array(fields[k::4], dtype=np.int64) for k in (1, 2))
-        chunks = (",".join(filter(None, idx_fields[lo:lo + _CHUNK_ROWS]))
-                  for lo in range(0, n, _CHUNK_ROWS))
-        indices = np.concatenate([np.zeros(0, dtype=np.int64)]
-                                 + [np.array(c.split(","), dtype=np.int64) for c in chunks if c])
-    except (ValueError, OverflowError):
-        raise _bad_record(path, lines) from None
-    try:
-        return Dataset.from_arrays(FeatureDictionary(names), fields[0::4], timestamps, labels,
+        with open(path, "rb") as fh:
+            blocks = _line_blocks(fh)
+            first = next(blocks)
+            d = _dimension(path, first[0]) if first else None
+            names: list[str] = []
+            columns: list[tuple[np.ndarray, ...]] = []
+            rows, lineno = [], 1
+            for lines in chain([first], blocks):
+                rows += _sample_lines(path, lines, lineno, names)
+                lineno += len(lines)
+                if len(rows) >= _CHUNK_ROWS:
+                    columns.append(_sample_columns(rows))
+                    rows = []
+        if rows:
+            columns.append(_sample_columns(rows))
+        if len(names) != d:
+            raise ValueError("an empty file, or not d #feature lines")
+        ids, timestamps, labels, lengths, indices = (
+            np.concatenate([np.zeros(0, dtype=dtype)] + [c[k] for c in columns])
+            for k, dtype in enumerate((StringDType(), np.int64, np.int64, np.int64, np.int64)))
+        del columns
+        return Dataset.from_arrays(FeatureDictionary(names), ids, timestamps, labels,
                                    np.cumsum(np.r_[0, lengths]), indices)
-    except FeatureError as exc:
-        feature_lines = [k for k, line in enumerate(lines, start=1)
-                         if line.startswith("#feature ")]
-        raise FileFormatError(path, feature_lines[exc.index], str(exc)) from None
-    except SampleError as exc:
-        lineno = [k for k, line in enumerate(lines, start=1) if _is_sample_line(line)][exc.row]
-        raise FileFormatError(path, lineno, str(exc)) from None
+    except (ValueError, OverflowError) as exc:  # DataError and UnicodeDecodeError included
+        failure = exc
+    raise _located(path, failure)
 
 
 # --- models -----------------------------------------------------------------

@@ -40,6 +40,14 @@ def test_synth_writes_loadable_outputs(synth_files):
     assert obj["provenance"]["command"] == "synth"
 
 
+def test_synth_that_cannot_write_its_truth_file_writes_no_file(tmp_path, capsys):
+    data, truth = str(tmp_path / "data.dg"), str(tmp_path / "nodir" / "t.json")
+    assert run(SYNTH_ARGS + ["--out", data, "--truth-out", truth]) == 2
+    err = capsys.readouterr().err
+    assert err == f"driftguard: i/o error: [Errno 2] No such file or directory: '{truth}'\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_synth_seed_7_writes_the_reference_fixture(tmp_path, reference_data):
     data = str(tmp_path / "data.dg")
     assert run(["synth", "--out", data, "--seed", "7", "--no-provenance-timestamp"]) == 0

@@ -216,6 +216,18 @@ def test_dataset_rejects_an_id_that_does_not_fit_a_sample_line(sid):
     assert kept.ids.tolist() == ["", " #x", "x#", "\"", "$", "a b", "é,\""]
 
 
+def test_ids_of_16_bytes_and_more_are_checked_like_short_ones():
+    # Drebin names its samples by 64-hex-digit SHA-256; numpy keeps a string of
+    # 16+ UTF-8 bytes out of line, where some StringDType operations fail
+    fd = dg.FeatureDictionary(["a"])
+    long_ids = ["0" * 63 + "1", "é" * 8, "\U00010000" * 4]
+    ds = dg.Dataset.from_arrays(fd, long_ids, [0, 0, 0], [0, 1, 0], [0, 0, 0, 0], [])
+    assert ds.ids.tolist() == long_ids
+    with pytest.raises(SampleError, match="id must not start with '#'") as info:
+        dg.Dataset.from_arrays(fd, ["a" * 20, "#" + "b" * 20], [0, 0], [0, 1], [0, 0, 0], [])
+    assert info.value.row == 1
+
+
 def test_id_check_ranks_after_every_earlier_sample_check():
     fd = dg.FeatureDictionary(["a"])
     with pytest.raises(SampleError, match="sample s2: label must be 0 or 1, got 2"):

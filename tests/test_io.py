@@ -1,16 +1,18 @@
 import csv
+import itertools
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftguard as dg
 from driftguard import io as dgio
-from driftguard.core import DataError
+from driftguard.core import DataError, SampleError
 from driftguard.drift import DriftConfig, DriftRecord, t_stability
 from driftguard.evaluation import evaluate_slots
 
@@ -193,6 +195,123 @@ def test_a_dataset_that_constructs_loads_back(names, ids):
     assert loaded.samples == ds.samples
 
 
+# what int() makes of one integer field, alone or among others; "" is an empty token
+_INT_TOKENS = ["0", "1", "007", "-", "--1", "-0", "9223372036854775807",
+               "9223372036854775808", "-9223372036854775808", "1_000", "+1", " 0", "1 ",
+               "\u0663", "\xa01", ""]
+
+
+def _int_reference_load(path, names):
+    """The dataset as int() reads each field of each line, or the error a load must raise."""
+    ids, timestamps, labels, lengths, indices, linenos = [], [], [], [], [], []
+    for lineno, line in enumerate(open(path, encoding="utf-8").read().splitlines(), start=1):
+        if line.startswith("#") or not line.strip():
+            continue
+        sid, epoch, label, idx = line.split("\t")
+        try:
+            values = [int(tok) for tok in [epoch, label] + (idx.split(",") if idx else [])]
+        except ValueError:
+            values = None
+        if values is None or not all(-2**63 <= v < 2**63 for v in values):
+            return f"{path}:{lineno}: malformed sample record {line!r}"
+        ids.append(sid)
+        timestamps.append(values[0])
+        labels.append(values[1])
+        lengths.append(len(values) - 2)
+        indices += values[2:]
+        linenos.append(lineno)
+    try:
+        return dg.Dataset.from_arrays(dg.FeatureDictionary(names), ids, timestamps, labels,
+                                      np.cumsum([0] + lengths), indices)
+    except SampleError as exc:
+        return f"{path}:{linenos[exc.row]}: {exc}"
+
+
+def _assert_same_dataset(got, want):
+    assert got.dictionary == want.dictionary
+    for name in ("ids", "timestamps", "labels", "indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=st.lists(st.sampled_from(_INT_TOKENS), min_size=1, max_size=3),
+       trailing_comma=st.booleans())
+@example(tokens=["1"], trailing_comma=True)  # np.fromstring drops a trailing comma
+@example(tokens=["-"], trailing_comma=False)  # and reads a lone '-' as 0
+@example(tokens=["9223372036854775808"], trailing_comma=False)  # and saturates
+@example(tokens=["1_000"], trailing_comma=False)  # and refuses what int() takes
+@example(tokens=["\u0663"], trailing_comma=False)
+@example(tokens=["--1"], trailing_comma=False)
+@example(tokens=["9223372036854775807"], trailing_comma=False)
+@example(tokens=["+1"], trailing_comma=False)
+@example(tokens=[" 0", "1 "], trailing_comma=False)
+@example(tokens=["\xa01"], trailing_comma=False)
+@example(tokens=["007"], trailing_comma=False)
+@example(tokens=[""], trailing_comma=False)  # an empty index field is no index
+def test_integer_fields_load_as_int_reads_them(tokens, trailing_comma):
+    names = ["a", "b", "c"]
+    value = ",".join(tokens) + ("," if trailing_comma else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ints.dg")
+        # the value in each integer column of each row, parsed one row, a few rows
+        # and the whole file at a time
+        for row, column in itertools.product(range(4), (1, 2, 3)):
+            fields = [[f"s{r}", str(100 + r), str(r % 2), "0,2"] for r in range(4)]
+            fields[row][column] = value
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("#driftguard-dataset v1 d=3\n# seed=1\n"
+                         + "".join(f"#feature {j} {name}\n" for j, name in enumerate(names))
+                         + "".join("\t".join(f) + "\n" for f in fields))
+            want = _int_reference_load(path, names)
+            for block_bytes, chunk_rows in ((1, 1), (40, 3), (dgio._BLOCK_BYTES, dgio._CHUNK_ROWS)):
+                with (mock.patch.object(dgio, "_BLOCK_BYTES", block_bytes),
+                      mock.patch.object(dgio, "_CHUNK_ROWS", chunk_rows)):
+                    if isinstance(want, str):
+                        with pytest.raises(dgio.FileFormatError) as exc:
+                            dgio.load_dataset(path)
+                        assert str(exc.value) == want
+                    else:
+                        _assert_same_dataset(dgio.load_dataset(path), want)
+
+
+def test_loads_the_same_whatever_the_block_and_chunk_size(tmp_path, monkeypatch):
+    path = str(tmp_path / "edges.dg")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("#driftguard-dataset v1 d=3\r\n# command=test\r\n# seed=7\r\n"
+                 "#feature 0 api::open\r\n"
+                 "s0\t5\t1\t0,2\r\n"
+                 "#feature 1 名前::é\r\n"
+                 "Ω-日本\t6\t0\t1\r\n\r\n"
+                 # \u2028 ends a line for splitlines(), here inside the index field of s2
+                 "s2\t7\t1\t0\u2028s3\t8\t0\t1,2\r\n"
+                 "# a comment between samples\r\n"
+                 "#feature 2 url::http://x.test/a,b\r\n"
+                 "s4\t9\t1\t\x85s5\t10\t0\t2\r\n")
+    want = dgio.load_dataset(path)
+    assert want.ids.tolist() == ["s0", "Ω-日本", "s2", "s3", "s4", "s5"]
+    assert want.indices.tolist() == [0, 2, 1, 0, 1, 2, 2]
+    size = os.path.getsize(path)
+    for block_bytes in (1, 2, 3, 5, 7, 64, size - 1, size):
+        for chunk_rows in (1, 2, 3, 7):
+            monkeypatch.setattr(dgio, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(dgio, "_CHUNK_ROWS", chunk_rows)
+            _assert_same_dataset(dgio.load_dataset(path), want)
+    # a byte that is not UTF-8, just past a block boundary, is reported at its own line
+    data = open(path, "rb").read()
+    for block_bytes in (5, 7, 64):
+        for pos in range(block_bytes, len(data), block_bytes):
+            if data[pos:pos + 1] in (b"\r", b"\n"):
+                continue
+            with open(path, "wb") as fh:
+                fh.write(data[:pos] + b"\xff" + data[pos + 1:])
+            monkeypatch.setattr(dgio, "_BLOCK_BYTES", block_bytes)
+            line = data[:pos].count(b"\n") + 1
+            with pytest.raises(dgio.FileFormatError,
+                               match=rf"edges\.dg:{line}: not valid UTF-8"):
+                dgio.load_dataset(path)
+
+
 # --- model round trips ----------------------------------------------------------------
 
 def test_model_round_trip_dense_bit_exact(tmp_path):
@@ -247,6 +366,40 @@ def test_model_bytes_match_the_per_line_writer(tmp_path, n_zero):
         expected = _reference_model_text(model, bounded, config, prov)
         assert ("encoding=sparse" in expected) == (n_zero > 6)
         assert open(path, encoding="utf-8", newline="").read() == expected
+
+
+_EDGE_WEIGHTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1.0 / 3.0]
+_FINITE = st.one_of(st.sampled_from(_EDGE_WEIGHTS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(_FINITE, min_size=1, max_size=10), bias=_FINITE,
+       half_zeros=st.booleans(),
+       bounded=st.one_of(st.none(), st.just([]), st.lists(st.integers(0, 19), max_size=4)))
+def test_model_round_trip_is_bit_exact(weights, bias, half_zeros, bounded):
+    w = np.array(weights)
+    if half_zeros:  # exactly half zeros is the last vector written dense
+        w = np.concatenate([np.where(w == 0.0, 1.0, w), np.zeros(len(w))])
+    sparse = np.count_nonzero(w == 0.0) * 2 > len(w)
+    fd = dg.FeatureDictionary([f"f{j}" for j in range(len(w))])
+    model = dg.LinearModel.for_dictionary(w, bias, fd)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.model")
+        dgio.save_model(path, model, bounded=bounded)
+        text = open(path, encoding="utf-8").read()
+        loaded, meta = dgio.load_model(path, dictionary=fd)
+    assert ("encoding=sparse\n" if sparse else "encoding=dense\n") in text
+    assert not (half_zeros and sparse)
+    # the sparse encoding writes no zero, so a -0.0 weight reads back as 0.0
+    assert _bits(loaded.weights) == _bits(np.where(w == 0.0, 0.0, w) if sparse else w)
+    assert _bits([loaded.bias]) == _bits([bias])
+    assert meta.get("bounded") == bounded
 
 
 def test_model_metadata_round_trip(tmp_path):
