@@ -6,6 +6,10 @@ sets, mismatched dictionaries), 3 numeric failure (non-finite loss).
 Every output file carries a provenance header with the fully resolved
 configuration; given identical flags and seed, reruns are byte-identical
 once the timestamp line is suppressed with --no-provenance-timestamp.
+
+Every command computes first; run() then writes its outputs under temporary
+names and renames them into place only once all are written (compare creates
+--out only after training). After the pre-checks the renames are per file.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ def _summary_slopes(metrics: list[SlotMetrics]) -> dict:
     return out
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> list:
     spec = SynthSpec(
         d=args.d, n_per_slot=args.n_per_slot, n_slots=args.n_slots,
         stable_pos=args.stable_pos, stable_neg=args.stable_neg,
@@ -181,50 +185,54 @@ def _cmd_synth(args) -> int:
     )
     dataset, truth = generate(spec)
     prov = _provenance(args)
-    paths = [args.out] + ([args.truth_out] if args.truth_out else [])
-    with dgio.staged(*paths) as tmps:
-        dgio.save_dataset(tmps[0], dataset, provenance=prov)
-        if args.truth_out:
-            save_ground_truth(tmps[1], truth, spec, provenance=prov)
-    return EXIT_OK
+    return [(args.out, dgio.save_dataset, dataset, prov)] + (
+        [(args.truth_out, save_ground_truth, truth, spec, prov)] if args.truth_out else [])
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> list:
     dataset = dgio.load_dataset(args.dataset)
     config = _train_config(args, args.l2)
     model = train_svm(dataset, config)
-    dgio.save_model(args.out, model, config=vars(config), provenance=_provenance(args))
-    return EXIT_OK
+    return [(args.out, dgio.save_model, model, None, vars(config), _provenance(args))]
 
 
-def _cmd_drift(args) -> int:
+def _cmd_drift(args) -> list:
     dataset = dgio.load_dataset(args.dataset)
     model, _ = dgio.load_model(args.model, dictionary=dataset.dictionary)
     report = t_stability(model, dataset, _drift_config(args))
-    dgio.save_drift_report(args.out, report, provenance=_provenance(args))
-    return EXIT_OK
+    return [(args.out, dgio.save_drift_report, report, _provenance(args))]
 
 
-def _cmd_train_cb(args) -> int:
+def _cb_configs(args, bounds, d: int) -> list[CbConfig]:
+    """One CbConfig per clip radius, each checked against the feature count d."""
+    configs = [CbConfig(base=_train_config(args, 0.0), n_f=args.nf, bound=bound)
+               for bound in bounds]
+    for config in configs:
+        config.check_feature_count(d)
+    return configs
+
+
+def _harden(dataset, reference, slot_config, configs):
+    """The reference model's stability report, and one (model, bounded) per config."""
+    report = t_stability(reference, dataset, slot_config)
+    return report, [train_svm_cb(dataset, report.delta, config) for config in configs]
+
+
+def _cmd_train_cb(args) -> list:
     dataset = dgio.load_dataset(args.dataset)
     reference, _ = dgio.load_model(args.model, dictionary=dataset.dictionary)
-    config = CbConfig(base=_train_config(args, 0.0), n_f=args.nf, bound=args.bound)
-    config.check_feature_count(dataset.d)
-    report = t_stability(reference, dataset, _drift_config(args))
-    model, bounded = train_svm_cb(dataset, report.delta, config)
-    dgio.save_model(args.out, model, bounded=bounded,
-                    config={**vars(config.base), "n_f": config.n_f, "bound": config.bound},
-                    provenance=_provenance(args))
-    return EXIT_OK
+    [config] = _cb_configs(args, [args.bound], dataset.d)
+    _, [(model, bounded)] = _harden(dataset, reference, _drift_config(args), [config])
+    echo = {**vars(config.base), "n_f": config.n_f, "bound": config.bound}
+    return [(args.out, dgio.save_model, model, bounded, echo, _provenance(args))]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> list:
     check_fpr_cap(args.fpr_cap)  # a bad cap fails before any loading or output
     dataset = dgio.load_dataset(args.dataset)
     model, _ = dgio.load_model(args.model, dictionary=dataset.dictionary)
     metrics = evaluate_slots(model, dataset, _drift_config(args), args.fpr_cap)
     prov = _provenance(args)
-    dgio.save_eval_report(args.out, metrics, provenance=prov)
     summary = {
         "model": args.model,
         "fingerprint": model.dictionary_fingerprint,
@@ -233,48 +241,34 @@ def _cmd_eval(args) -> int:
         "decay_slope": _summary_slopes(metrics),
         "provenance": prov,
     }
-    root, _ = os.path.splitext(args.out)
-    dgio.save_json(root + ".json", summary)
-    return EXIT_OK
+    return [(args.out, dgio.save_eval_report, metrics, prov),
+            (os.path.splitext(args.out)[0] + ".json", dgio.save_json, summary)]
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> list:
     dataset = dgio.load_dataset(args.dataset)
     train_set, test_set = temporal_split(dataset, SplitSpec(args.boundary))
     slot_config = _drift_config(args)
-    # bad flags and a bad slot config on either side fail before any training or output
+    # bad flags and a bad slot config on either side fail before any training
     slot_count(train_set, slot_config)
     test_view = SlotView.build(test_set, slot_config)
     check_fpr_cap(args.fpr_cap)
-    cb_base = _train_config(args, 0.0)
-    cb_configs = [(name, CbConfig(base=cb_base, n_f=args.nf, bound=bound))
-                  for name, bound in (("cb_h", BOUND_HIGH), ("cb_l", BOUND_LOW))]
-    for _, config in cb_configs:
-        config.check_feature_count(train_set.d)
+    cb_configs = _cb_configs(args, (BOUND_HIGH, BOUND_LOW), train_set.d)
     prov = _provenance(args)
-    os.makedirs(args.out, exist_ok=True)
 
     baseline = train_svm(train_set, _train_config(args, args.l2))
-    report = t_stability(baseline, train_set, slot_config)
-    dgio.save_drift_report(os.path.join(args.out, "drift.csv"), report, provenance=prov)
+    report, hardened = _harden(train_set, baseline, slot_config, cb_configs)
 
-    models = [("svm", baseline, None)]
-    for name, config in cb_configs:
-        model, bounded = train_svm_cb(train_set, report.delta, config)
-        models.append((name, model, bounded))
-
+    outputs = [("drift.csv", dgio.save_drift_report, report, prov)]
     summary_models = {}
-    for name, model, bounded in models:
-        dgio.save_model(os.path.join(args.out, f"{name}.model"), model,
-                        bounded=bounded, provenance=prov)
+    for name, (model, bounded) in zip(("svm", "cb_h", "cb_l"), [(baseline, None), *hardened]):
         view = test_view.scored(model, test_set)
         metrics = evaluate_slots(model, test_set, slot_config, args.fpr_cap, view=view)
-        dgio.save_eval_report(os.path.join(args.out, f"eval_{name}.csv"),
-                              metrics, provenance=prov)
         trends = {label: score_trend(model, test_set, slot_config, class_label=label, view=view)
                   for label in (0, 1)}
-        dgio.save_score_trend(os.path.join(args.out, f"score_trend_{name}.csv"),
-                              trends, provenance=prov)
+        outputs += [(f"{name}.model", dgio.save_model, model, bounded, None, prov),
+                    (f"eval_{name}.csv", dgio.save_eval_report, metrics, prov),
+                    (f"score_trend_{name}.csv", dgio.save_score_trend, trends, prov)]
         summary_models[name] = {"decay_slope": _summary_slopes(metrics)}
 
     summary = {
@@ -286,8 +280,9 @@ def _cmd_compare(args) -> int:
         "models": summary_models,
         "provenance": prov,
     }
-    dgio.save_json(os.path.join(args.out, "summary.json"), summary)
-    return EXIT_OK
+    outputs.append(("summary.json", dgio.save_json, summary))
+    os.makedirs(args.out, exist_ok=True)  # only now, so a failed run creates no --out
+    return [(os.path.join(args.out, name), *rest) for name, *rest in outputs]
 
 
 _DISPATCH = {
@@ -310,7 +305,11 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        outputs = _DISPATCH[args.command](args)
+        with dgio.staged(*(path for path, *_ in outputs)) as tmps:
+            for tmp, (_, write, *write_args) in zip(tmps, outputs):
+                write(tmp, *write_args)
+        return EXIT_OK
     except NumericError as exc:
         print(f"driftguard: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

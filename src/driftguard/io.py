@@ -18,6 +18,7 @@ can embed provenance without breaking round trips.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -51,7 +52,16 @@ class FileFormatError(DataError):
 def staged(*paths: str):
     """Yield one temporary path beside each of paths; rename each onto its path
     once the block completes, or remove them all if it raises, so a failed
-    block leaves none of paths new or partly written."""
+    block leaves none of paths new or partly written. A path that is a
+    directory, or that names the same file as an earlier one, is refused
+    before anything is written; the renames themselves are one per file."""
+    seen = set()
+    for path in paths:
+        if os.path.abspath(path) in seen:
+            raise DataError(f"{path}: named as two outputs")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        seen.add(os.path.abspath(path))
     tmps = [f"{path}.{os.urandom(8).hex()}.tmp" for path in paths]
     try:
         yield tmps
@@ -61,8 +71,8 @@ def staged(*paths: str):
         for tmp in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename in tmps:  # name the caller's file
-            exc.filename = paths[tmps.index(exc.filename)]
+        if isinstance(exc, OSError) and exc.filename in tmps:  # name the caller's file, once
+            raise OSError(exc.errno, exc.strerror, paths[tmps.index(exc.filename)]) from exc
         raise
 
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 import driftguard
 from driftguard import io as dgio
 from driftguard.cli import run
+from driftguard.core import NumericError
+from driftguard.evaluation import SplitSpec, temporal_split
 from driftguard.synth import BASE_EPOCH, REFERENCE_SPEC
 
 from conftest import binary_dataset
@@ -20,6 +23,7 @@ SYNTH_ARGS = ["synth", "--d", "60", "--n-per-slot", "80", "--n-slots", "6",
               "--noise-p", "0.03", "--seed", "3", "--no-provenance-timestamp"]
 SLOT_ARGS = ["--slot-mode", "fixed", "--dt-seconds", "2592000"]
 FAST_TRAIN = ["--iters", "150", "--eta0", "0.01"]
+BOUNDARY = str(BASE_EPOCH + 3 * 2592000)
 
 
 @pytest.fixture()
@@ -28,6 +32,14 @@ def synth_files(tmp_path):
     truth = str(tmp_path / "truth.json")
     assert run(SYNTH_ARGS + ["--out", data, "--truth-out", truth]) == 0
     return data, truth
+
+
+@pytest.fixture()
+def model_file(tmp_path, synth_files):
+    model = str(tmp_path / "svm.model")
+    assert run(["train", "--dataset", synth_files[0], "--out", model, *FAST_TRAIN,
+                "--no-provenance-timestamp"]) == 0
+    return model
 
 
 def test_synth_writes_loadable_outputs(synth_files):
@@ -46,6 +58,42 @@ def test_synth_that_cannot_write_its_truth_file_writes_no_file(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err == f"driftguard: i/o error: [Errno 2] No such file or directory: '{truth}'\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_synth_whose_truth_file_is_a_directory_writes_no_dataset(tmp_path, capsys):
+    data, truth = str(tmp_path / "data.dg"), str(tmp_path / "t.json")
+    os.mkdir(truth)
+    assert run(SYNTH_ARGS + ["--out", data, "--truth-out", truth]) == 2
+    err = capsys.readouterr().err
+    assert err == f"driftguard: i/o error: [Errno 21] Is a directory: '{truth}'\n"
+    assert os.listdir(tmp_path) == ["t.json"] and os.listdir(truth) == []
+
+
+def test_eval_whose_summary_path_is_a_directory_writes_no_csv(tmp_path, synth_files,
+                                                             model_file, capsys):
+    out = tmp_path / "out"
+    os.makedirs(out / "e.json")
+    assert run(["eval", "--dataset", synth_files[0], "--model", model_file,
+                "--out", str(out / "e.csv"), *SLOT_ARGS, "--no-provenance-timestamp"]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert os.listdir(out) == ["e.json"] and os.listdir(out / "e.json") == []
+
+
+@pytest.mark.parametrize("command", ["synth", "eval"])
+def test_a_command_naming_one_file_for_two_outputs_exits_two_writing_nothing(
+        tmp_path, synth_files, model_file, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "synth":
+        twice = str(out / "x")
+        argv = SYNTH_ARGS + ["--out", twice, "--truth-out", twice]
+    else:
+        twice = str(out / "e.json")
+        argv = ["eval", "--dataset", synth_files[0], "--model", model_file, "--out", twice,
+                *SLOT_ARGS, "--no-provenance-timestamp"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"driftguard: data error: {twice}: named as two outputs\n"
+    assert os.listdir(out) == []
 
 
 def test_synth_seed_7_writes_the_reference_fixture(tmp_path, reference_data):
@@ -206,6 +254,131 @@ def test_compare_bad_flag_exits_before_training(tmp_path, synth_files, capsys, f
                 *FAST_TRAIN, "--no-provenance-timestamp"]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)  # so no drift.csv and no model
+
+
+def _body(path) -> list[str]:
+    """A file's lines without its `# ` comments and a model's `config.` echo lines."""
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh.read().splitlines()
+                if not line.startswith(("# ", "config."))]
+
+
+@pytest.mark.parametrize("slot_flags, nf", [
+    (SLOT_ARGS, "10"), (["--slot-mode", "month"], "10"), (SLOT_ARGS, "60"),
+], ids=["fixed", "month", "nf-equals-d"])
+def test_compare_equals_its_steps(tmp_path, synth_files, slot_flags, nf):
+    # the bundle equals what train, drift, train-cb and eval write on the two sides
+    data, _ = synth_files
+    bundle = tmp_path / "bundle"
+    assert run(["compare", "--dataset", data, "--out", str(bundle), "--boundary", BOUNDARY,
+                "--nf", nf, *slot_flags, *FAST_TRAIN, "--no-provenance-timestamp"]) == 0
+    sides = temporal_split(dgio.load_dataset(data), SplitSpec(int(BOUNDARY)))
+    train, test = str(tmp_path / "train.dg"), str(tmp_path / "test.dg")
+    for path, side in zip((train, test), sides):
+        dgio.save_dataset(path, side)
+    steps = tmp_path / "steps"
+    steps.mkdir()
+    quiet = ["--no-provenance-timestamp"]
+    assert run(["train", "--dataset", train, "--out", str(steps / "svm.model"),
+                *FAST_TRAIN, *quiet]) == 0
+    assert run(["drift", "--dataset", train, "--model", str(steps / "svm.model"),
+                "--out", str(steps / "drift.csv"), *slot_flags, *quiet]) == 0
+    for name, bound in (("cb_h", "0.8"), ("cb_l", "0.2")):
+        assert run(["train-cb", "--dataset", train, "--model", str(steps / "svm.model"),
+                    "--out", str(steps / f"{name}.model"), "--nf", nf, "--bound", bound,
+                    *slot_flags, *FAST_TRAIN, *quiet]) == 0
+    summary = json.load(open(bundle / "summary.json"))
+    assert _body(bundle / "drift.csv") == _body(steps / "drift.csv")
+    for name in ("svm", "cb_h", "cb_l"):
+        assert run(["eval", "--dataset", test, "--model", str(steps / f"{name}.model"),
+                    "--out", str(steps / f"eval_{name}.csv"), *slot_flags, *quiet]) == 0
+        assert _body(bundle / f"{name}.model") == _body(steps / f"{name}.model"), name
+        assert _body(bundle / f"eval_{name}.csv") == _body(steps / f"eval_{name}.csv"), name
+        step_summary = json.load(open(steps / f"eval_{name}.json"))
+        assert summary["models"][name]["decay_slope"] == step_summary["decay_slope"], name
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_compare_numeric_failure_creates_no_out(tmp_path, synth_files, capsys):
+    data, _ = synth_files
+    out = str(tmp_path / "bundle")
+    assert run(["compare", "--dataset", data, "--out", out, "--boundary", BOUNDARY,
+                "--nf", "10", *SLOT_ARGS, "--eta0", "1e308", "--iters", "5",
+                "--no-provenance-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert err == "driftguard: numeric failure: non-finite training loss at iteration 2\n"
+    assert not os.path.exists(out)
+
+
+def _tree(root) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def test_compare_failing_a_cb_training_leaves_the_old_bundle(tmp_path, synth_files, capsys,
+                                                             monkeypatch):
+    data, _ = synth_files
+    out = str(tmp_path / "bundle")
+    argv = ["compare", "--dataset", data, "--out", out, "--boundary", BOUNDARY, "--nf", "10",
+            *SLOT_ARGS, *FAST_TRAIN, "--no-provenance-timestamp"]
+    assert run(argv) == 0
+    before = _tree(out)
+    assert len(before) == 11
+
+    def failing(*args):
+        raise NumericError("non-finite training loss at iteration 1")
+    monkeypatch.setattr(driftguard.cli, "train_svm_cb", failing)
+    assert run(argv + ["--seed", "1"]) == 3  # a run that went through would echo seed=1
+    assert capsys.readouterr().err.endswith("non-finite training loss at iteration 1\n")
+    assert _tree(out) == before
+
+
+LAST_WRITERS = {
+    "synth": (driftguard.cli, "save_ground_truth"),
+    "train": (dgio, "save_model"),
+    "drift": (dgio, "save_drift_report"),
+    "train-cb": (dgio, "save_model"),
+    "eval": (dgio, "save_json"),
+    "compare": (dgio, "save_json"),
+}
+
+
+@pytest.mark.parametrize("command", list(LAST_WRITERS))
+def test_a_failing_last_writer_leaves_the_outputs_as_they_were(tmp_path, synth_files, model_file,
+                                                               capsys, monkeypatch, command):
+    data, _ = synth_files
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = ["--dataset", data, "--model", model_file]
+    argv = {
+        "synth": SYNTH_ARGS + ["--out", str(out / "data.dg"), "--truth-out",
+                               str(out / "truth.json")],
+        "train": ["train", "--dataset", data, "--out", str(out / "m.model"), *FAST_TRAIN],
+        "drift": ["drift", *inputs, "--out", str(out / "drift.csv"), *SLOT_ARGS],
+        "train-cb": ["train-cb", *inputs, "--out", str(out / "cb.model"), "--nf", "10",
+                     *SLOT_ARGS, *FAST_TRAIN],
+        "eval": ["eval", *inputs, "--out", str(out / "e.csv"), *SLOT_ARGS],
+        "compare": ["compare", "--dataset", data, "--out", str(out / "bundle"),
+                    "--boundary", BOUNDARY, "--nf", "10", *SLOT_ARGS, *FAST_TRAIN],
+    }[command] + ["--no-provenance-timestamp"]
+    assert run(argv) == 0
+    before = _tree(out)
+    owner, name = LAST_WRITERS[command]
+
+    def failing(path, *args, **kwargs):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+    monkeypatch.setattr(owner, name, failing)
+    assert run(argv + ["--seed", "11"]) == 2  # a run that went through would echo seed=11
+    assert "No space left on device" in capsys.readouterr().err
+    assert _tree(out) == before
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
